@@ -22,7 +22,6 @@ from .inference import (
     envelope,
     expected_reliability,
     infer,
-    reliability_cdf,
 )
 from .model import (
     DomainSpec,

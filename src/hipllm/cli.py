@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands cover the full experiment surface: `infer` (envelope report),
-`reliability` (horizon sweep), `sweep-hyper` (repeat inference over prior
-boxes), `sweep-op` (repeat inference over weight vectors), `synth`
+`reliability` (`infer` with `--horizons`), `sweep-hyper` (repeat inference
+over prior boxes), `sweep-op` (repeat inference over weight vectors), `synth`
 (synthetic ground-truth comparison tables), `bench` (scaling sweeps with
 power-law fits), and `baseline` (closed-form Beta-Binomial runs).
 
@@ -22,10 +22,19 @@ from pathlib import Path
 
 from . import harness
 from .baselines import bb_expected_future_reliability, bb_mean_envelope, bb_update
-from .config import ConfigError, RunConfig, parse_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    _list,
+    _numbers,
+    _parse_box,
+    _require_keys,
+    config_to_dict,
+    parse_config,
+)
 from .hyperposterior import NumericalError
 from .inference import infer
-from .model import HyperBox, ReliabilityQuery, ValidationError
+from .model import ReliabilityQuery, ValidationError
 from .numerics import DomainError
 from .report import emit_csv, emit_json, emit_svg
 
@@ -39,48 +48,31 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _emit_report(report, cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    if cfg.emit_csv:
-        emit_csv(report, out_dir)
-    if cfg.emit_json:
-        emit_json(report, out_dir, config_echo=cfg.raw)
-    if cfg.emit_svg or svg:
-        emit_svg(report, out_dir)
-
-
 def _load_run_config(args) -> RunConfig:
+    """The config file with the command-line overrides applied."""
     cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.mc = replace(cfg.mc, master_seed=args.seed)
+    if getattr(args, "horizons", ""):
+        cfg.query = ReliabilityQuery(horizons=tuple(_int_list(args.horizons)))
+    cfg.emit_svg = cfg.emit_svg or args.svg
     return cfg
 
 
+def _run(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+    """Infer, then write the outputs the config asks for."""
+    report = infer(cfg.system, cfg.grid, cfg.mc, cfg.query, threads=threads)
+    if cfg.emit_csv:
+        emit_csv(report, out_dir)
+    if cfg.emit_json:
+        emit_json(report, out_dir, config_echo=config_to_dict(cfg))
+    if cfg.emit_svg:
+        emit_svg(report, out_dir)
+
+
 def cmd_infer(args) -> int:
-    cfg = _load_run_config(args)
-    report = infer(cfg.system, cfg.grid, cfg.mc, cfg.query, threads=args.threads)
-    _emit_report(report, cfg, Path(args.out), args.svg)
+    _run(_load_run_config(args), Path(args.out), args.threads)
     return EXIT_OK
-
-
-def cmd_reliability(args) -> int:
-    cfg = _load_run_config(args)
-    if args.horizons:
-        cfg.query = ReliabilityQuery(horizons=tuple(_int_list(args.horizons)))
-    report = infer(cfg.system, cfg.grid, cfg.mc, cfg.query, threads=args.threads)
-    _emit_report(report, cfg, Path(args.out), args.svg)
-    return EXIT_OK
-
-
-def _parse_box_doc(doc, path: str) -> HyperBox:
-    try:
-        return HyperBox(
-            a_range=tuple(doc["a"]),
-            b_range=tuple(doc["b"]),
-            c_range=tuple(doc["c"]),
-            d_range=tuple(doc["d"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: box needs keys a, b, c, d with [min, max]") from exc
 
 
 def cmd_sweep_hyper(args) -> int:
@@ -89,13 +81,12 @@ def cmd_sweep_hyper(args) -> int:
     if not isinstance(boxes, list) or not boxes:
         raise ConfigError(f"{args.boxes}: expected a nonempty JSON list of boxes")
     for idx, box_doc in enumerate(boxes):
-        box = _parse_box_doc(box_doc, f"{args.boxes}[{idx}]")
+        box = _parse_box(box_doc, f"{args.boxes}[{idx}]")
         system = replace(
             cfg.system,
             domains=tuple(replace(d, box=box) for d in cfg.system.domains),
         )
-        report = infer(system, cfg.grid, cfg.mc, cfg.query, threads=args.threads)
-        _emit_report(report, cfg, Path(args.out) / f"box{idx:02d}", args.svg)
+        _run(replace(cfg, system=system), Path(args.out) / f"box{idx:02d}", args.threads)
     return EXIT_OK
 
 
@@ -105,29 +96,24 @@ def cmd_sweep_op(args) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{args.weights}: expected a nonempty JSON list")
     for idx, entry in enumerate(entries):
+        path = f"{args.weights}[{idx}]"
+        _require_keys(entry, path, set(), {"omegas", "weights"})
         system = cfg.system
         if "omegas" in entry:
-            omegas = entry["omegas"]
+            omegas = _list(entry["omegas"], f"{path}.omegas", _numbers)
             if len(omegas) != len(system.domains):
-                raise ConfigError(
-                    f"{args.weights}[{idx}].omegas: need one vector per domain"
-                )
+                raise ConfigError(f"{path}.omegas: need one vector per domain")
             system = replace(
                 system,
                 domains=tuple(
-                    replace(d, op_weights=tuple(float(w) for w in om))
-                    for d, om in zip(system.domains, omegas)
+                    replace(d, op_weights=om) for d, om in zip(system.domains, omegas)
                 ),
             )
         if "weights" in entry:
             system = replace(
-                system, domain_weights=tuple(float(w) for w in entry["weights"])
+                system, domain_weights=_numbers(entry["weights"], f"{path}.weights")
             )
-        unknown = set(entry) - {"omegas", "weights"}
-        if unknown:
-            raise ConfigError(f"{args.weights}[{idx}]: unknown keys {sorted(unknown)}")
-        report = infer(system, cfg.grid, cfg.mc, cfg.query, threads=args.threads)
-        _emit_report(report, cfg, Path(args.out) / f"op{idx:02d}", args.svg)
+        _run(replace(cfg, system=system), Path(args.out) / f"op{idx:02d}", args.threads)
     return EXIT_OK
 
 
@@ -253,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reliability", help="future-reliability horizon sweep")
     add_run_opts(p)
     p.add_argument("--horizons", default="", help="comma-separated n_F values")
-    p.set_defaults(func=cmd_reliability)
+    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep-hyper", help="repeat inference over prior boxes")
     add_run_opts(p)

@@ -7,10 +7,12 @@ explicit version field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .model import (
     DomainSpec,
@@ -24,7 +26,7 @@ from .model import (
     validate,
 )
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict"]
+__all__ = ["ConfigError", "RunConfig", "config_to_dict", "parse_config", "parse_config_dict"]
 
 SCHEMA_VERSION = 1
 
@@ -42,7 +44,6 @@ class RunConfig:
     emit_csv: bool = True
     emit_json: bool = True
     emit_svg: bool = False
-    raw: Dict[str, Any] = field(default_factory=dict)
 
 
 def _require_keys(obj: dict, path: str, required: set, optional: set) -> None:
@@ -56,104 +57,100 @@ def _require_keys(obj: dict, path: str, required: set, optional: set) -> None:
         raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
 
 
+def _number(v, path: str) -> float:
+    # the comparison also rejects NaN and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _integer(v, path: str) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{path}: expected an integer, got {v!r}")
+    return v
+
+
+def _string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{path}: expected a string, got {v!r}")
+    return v
+
+
+def _flag(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false, got {v!r}")
+    return v
+
+
+def _list(v, path: str, read) -> tuple:
+    """A JSON list read element by element."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list, got {v!r}")
+    return tuple(read(x, f"{path}[{k}]") for k, x in enumerate(v))
+
+
+def _numbers(v, path: str) -> Tuple[float, ...]:
+    return _list(v, path, _number)
+
+
 def _interval(obj, path: str) -> Tuple[float, float]:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
-    ):
+    if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError(f"{path}: expected [min, max]")
-    return (float(obj[0]), float(obj[1]))
+    return _numbers(obj, path)
 
 
 def _parse_box(obj, path: str) -> HyperBox:
     if obj is None:
         return default_box()
     _require_keys(obj, path, {"a", "b", "c", "d"}, set())
-    return HyperBox(
-        a_range=_interval(obj["a"], f"{path}.a"),
-        b_range=_interval(obj["b"], f"{path}.b"),
-        c_range=_interval(obj["c"], f"{path}.c"),
-        d_range=_interval(obj["d"], f"{path}.d"),
-    )
+    return HyperBox(*(_interval(obj[k], f"{path}.{k}") for k in "abcd"))
 
 
 def _parse_subdomain(obj, path: str) -> SubdomainData:
     _require_keys(obj, path, {"correct", "total"}, {"label"})
     return SubdomainData(
-        correct=int(obj["correct"]),
-        total=int(obj["total"]),
-        label=str(obj.get("label", "")),
+        correct=_integer(obj["correct"], f"{path}.correct"),
+        total=_integer(obj["total"], f"{path}.total"),
+        label=_string(obj.get("label", ""), f"{path}.label"),
     )
 
 
 def _parse_domain(obj, path: str) -> DomainSpec:
     _require_keys(obj, path, {"subdomains", "omega"}, {"label", "box"})
-    subs = obj["subdomains"]
-    if not isinstance(subs, list) or not subs:
+    subs = _list(obj["subdomains"], f"{path}.subdomains", _parse_subdomain)
+    if not subs:
         raise ConfigError(f"{path}.subdomains: expected a nonempty list")
     return DomainSpec(
-        subdomains=tuple(
-            _parse_subdomain(s, f"{path}.subdomains[{j}]") for j, s in enumerate(subs)
-        ),
-        op_weights=tuple(float(w) for w in obj["omega"]),
+        subdomains=subs,
+        op_weights=_numbers(obj["omega"], f"{path}.omega"),
         box=_parse_box(obj.get("box"), f"{path}.box"),
-        label=str(obj.get("label", "")),
+        label=_string(obj.get("label", ""), f"{path}.label"),
     )
 
 
 def _parse_hierarchy(obj, path: str) -> SystemSpec:
     _require_keys(obj, path, {"domains", "weights"}, set())
-    doms = obj["domains"]
-    if not isinstance(doms, list) or not doms:
+    doms = _list(obj["domains"], f"{path}.domains", _parse_domain)
+    if not doms:
         raise ConfigError(f"{path}.domains: expected a nonempty list")
-    return SystemSpec(
-        domains=tuple(
-            _parse_domain(d, f"{path}.domains[{i}]") for i, d in enumerate(doms)
-        ),
-        domain_weights=tuple(float(w) for w in obj["weights"]),
-    )
+    return SystemSpec(domains=doms, domain_weights=_numbers(obj["weights"], f"{path}.weights"))
 
 
-def _parse_grid(obj, path: str) -> GridSpec:
+def _integers(v, path: str) -> Tuple[int, ...]:
+    return _list(v, path, _integer)
+
+
+def _parse_fields(cls, obj, path: str):
+    """Dataclass `cls` with the fields set in `obj`, each read as the type
+    of its default, and the defaults elsewhere."""
     if obj is None:
-        return GridSpec()
-    _require_keys(obj, path, set(), {"n_mu", "n_nu", "nu_min", "nu_max"})
-    base = GridSpec()
-    return GridSpec(
-        n_mu=int(obj.get("n_mu", base.n_mu)),
-        n_nu=int(obj.get("n_nu", base.n_nu)),
-        nu_min=float(obj.get("nu_min", base.nu_min)),
-        nu_max=float(obj.get("nu_max", base.nu_max)),
-    )
-
-
-def _parse_mc(obj, path: str) -> McSpec:
-    if obj is None:
-        return McSpec()
-    _require_keys(
-        obj,
-        path,
-        set(),
-        {"samples_per_config", "configs_per_domain", "pairing_cap", "master_seed", "t_grid_size"},
-    )
-    base = McSpec()
-    return McSpec(
-        samples_per_config=int(obj.get("samples_per_config", base.samples_per_config)),
-        configs_per_domain=int(obj.get("configs_per_domain", base.configs_per_domain)),
-        pairing_cap=int(obj.get("pairing_cap", base.pairing_cap)),
-        master_seed=int(obj.get("master_seed", base.master_seed)),
-        t_grid_size=int(obj.get("t_grid_size", base.t_grid_size)),
-    )
-
-
-def _parse_query(obj, path: str) -> ReliabilityQuery:
-    if obj is None:
-        return ReliabilityQuery()
-    _require_keys(obj, path, set(), {"horizons"})
-    if "horizons" not in obj:
-        return ReliabilityQuery()
-    return ReliabilityQuery(horizons=tuple(int(h) for h in obj["horizons"]))
+        return cls()
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    _require_keys(obj, path, set(), set(fields))
+    read = {int: _integer, float: _number, tuple: _integers}
+    return cls(**{k: read[type(fields[k])](v, f"{path}.{k}") for k, v in obj.items()})
 
 
 def parse_config_dict(doc: Dict[str, Any]) -> RunConfig:
@@ -164,22 +161,19 @@ def parse_config_dict(doc: Dict[str, Any]) -> RunConfig:
         {"schema_version", "hierarchy"},
         {"grid", "mc", "query", "output"},
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
-        )
+    version = _integer(doc["schema_version"], "config.schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
     system = _parse_hierarchy(doc["hierarchy"], "config.hierarchy")
-    grid = _parse_grid(doc.get("grid"), "config.grid")
-    mc = _parse_mc(doc.get("mc"), "config.mc")
-    query = _parse_query(doc.get("query"), "config.query")
+    grid = _parse_fields(GridSpec, doc.get("grid"), "config.grid")
+    mc = _parse_fields(McSpec, doc.get("mc"), "config.mc")
+    query = _parse_fields(ReliabilityQuery, doc.get("query"), "config.query")
 
     out = doc.get("output")
     emit = {"csv": True, "json": True, "svg": False}
     if out is not None:
-        _require_keys(out, "config.output", set(), {"csv", "json", "svg"})
-        for key in emit:
-            if key in out:
-                emit[key] = bool(out[key])
+        _require_keys(out, "config.output", set(), set(emit))
+        emit.update({k: _flag(v, f"config.output.{k}") for k, v in out.items()})
 
     system, grid, mc, query = validate(system, grid, mc, query)
     return RunConfig(
@@ -190,8 +184,39 @@ def parse_config_dict(doc: Dict[str, Any]) -> RunConfig:
         emit_csv=emit["csv"],
         emit_json=emit["json"],
         emit_svg=emit["svg"],
-        raw=doc,
     )
+
+
+def config_to_dict(cfg: RunConfig) -> Dict[str, Any]:
+    """The resolved config in the input schema, defaults filled in:
+    `parse_config_dict` of the result gives back `cfg`.  Labels are
+    written only when set."""
+
+    def labelled(doc, label):
+        return {"label": label, **doc} if label else doc
+
+    domains = [
+        labelled(
+            {
+                "subdomains": [
+                    labelled({"correct": s.correct, "total": s.total}, s.label)
+                    for s in d.subdomains
+                ],
+                "omega": list(d.op_weights),
+                "box": {k: list(r) for k, r in zip("abcd", d.box.ranges())},
+            },
+            d.label,
+        )
+        for d in cfg.system.domains
+    ]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "hierarchy": {"domains": domains, "weights": list(cfg.system.domain_weights)},
+        "grid": dataclasses.asdict(cfg.grid),
+        "mc": dataclasses.asdict(cfg.mc),
+        "query": {"horizons": list(cfg.query.horizons)},
+        "output": {"csv": cfg.emit_csv, "json": cfg.emit_json, "svg": cfg.emit_svg},
+    }
 
 
 def parse_config(path: str | Path) -> RunConfig:

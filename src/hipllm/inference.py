@@ -1,11 +1,20 @@
 """The imprecise-inference engine.
 
-For every hyperparameter configuration drawn from a domain's admissible box
-we compute the grid posterior over (mu, nu), deterministic quadrature CDFs
-for each subdomain accuracy, and Monte Carlo samples of the domain and
-system aggregates.  Envelopes are the pointwise min-max of the per-config
-CDFs; future reliability uses the n_F-th-power transform of the samples
-and the matching root transform of the CDFs.
+One pipeline of stages, run domain by domain over the K hyperparameter
+configurations drawn from each domain's admissible box:
+
+1. posteriors: the configs, the grid log-likelihood of the domain's
+   counts, and one grid hyper-posterior over (mu, nu) per config;
+2. quadrature: the deterministic CDF of every subdomain accuracy under
+   each config (`infer` only);
+3. sampling: Monte Carlo draws of the subdomain accuracies and the domain
+   aggregate under each config;
+4. pairing: capped cross-domain config tuples and the system aggregate
+   p_L of each.
+
+`infer` reduces the stage outputs to envelopes, the pointwise min-max of
+the per-config CDFs, and to expected future reliability, the mean of the
+n_F-th power of the samples.  `system_sample_arrays` stops after pairing.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,9 +61,9 @@ __all__ = [
     "generate_pairings",
     "sample_system",
     "envelope",
-    "reliability_cdf",
     "expected_reliability",
     "infer",
+    "system_sample_arrays",
 ]
 
 # Grid cells whose combined posterior mass is below this are skipped when
@@ -92,7 +101,6 @@ class ReliabilityCurve:
     horizons: Tuple[int, ...]
     expected_lower: np.ndarray
     expected_upper: np.ndarray
-    cdf_envelopes: Optional[List[CdfEnvelope]] = None  # one per horizon
 
 
 @dataclass
@@ -147,33 +155,22 @@ def generate_configs(box: HyperBox, k: int, seed: int) -> List[HyperConfig]:
     return corners + [HyperConfig(*row) for row in fill]
 
 
-def _pruned_cells(post: HyperGrid, prune_mass: float):
-    """Indices of the heaviest grid cells covering 1 - prune_mass of the
-    posterior, plus their renormalized weights."""
-    w = post.weights
-    order = np.argsort(w)[::-1]
-    cum = np.cumsum(w[order])
-    keep = int(np.searchsorted(cum, 1.0 - prune_mass) + 1)
-    idx = order[:keep]
-    return idx, w[idx] / w[idx].sum()
-
-
 def subdomain_marginal_cdf(
-    domain: DomainSpec,
-    j: int,
-    post: HyperGrid,
-    t: np.ndarray,
-    prune_mass: float = PRUNE_MASS,
+    domain: DomainSpec, j: int, post: HyperGrid, t: np.ndarray
 ) -> np.ndarray:
     """Deterministic quadrature CDF of one subdomain accuracy.
 
     Mixture over grid cells of conditional Beta CDFs
-    I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights.
+    I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights,
+    restricted to the heaviest cells covering 1 - PRUNE_MASS of the mass.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
+    order = np.argsort(post.weights)[::-1]
+    keep = int(np.searchsorted(np.cumsum(post.weights[order]), 1.0 - PRUNE_MASS) + 1)
+    idx = order[:keep]
+    w = post.weights[idx] / post.weights[idx].sum()
     sub = domain.subdomains[j]
-    idx, w = _pruned_cells(post, prune_mass)
     alpha = sub.correct + post.mu[idx] * post.nu[idx]
     beta = sub.total - sub.correct + (1.0 - post.mu[idx]) * post.nu[idx]
     member = beta_cdf(t[None, :], alpha[:, None], beta[:, None])
@@ -270,18 +267,6 @@ def envelope(members: Sequence[np.ndarray], t: np.ndarray, keep_members: bool = 
     )
 
 
-def reliability_cdf(base: np.ndarray, t: np.ndarray, n_f: int) -> np.ndarray:
-    """CDF of the n_F-th power of a [0,1] variable whose CDF on `t` is `base`.
-
-    F_R(x) = F_p(x**(1/n_F)), with linear interpolation between grid points.
-    """
-    if n_f < 1:
-        raise ValueError("n_F must be >= 1")
-    if n_f == 1:
-        return np.asarray(base).copy()
-    return np.interp(t ** (1.0 / n_f), t, base)
-
-
 def expected_reliability(samples: np.ndarray, n_f: int) -> float:
     """Monte Carlo mean of the n_F-th power of the sampled probabilities."""
     samples = np.asarray(samples)
@@ -290,37 +275,73 @@ def expected_reliability(samples: np.ndarray, n_f: int) -> float:
     return float(np.mean(samples ** n_f))
 
 
-def _domain_unit(domain, config, grid, log_lik, s, rng, t, want_quadrature):
-    """One (domain, config) work unit: grid posterior, optional subdomain
-    quadrature CDFs, and Monte Carlo draws."""
-    post = hyper_posterior(domain, config, grid, log_lik=log_lik)
-    sub_cdfs = None
-    if want_quadrature:
-        sub_cdfs = [
-            subdomain_marginal_cdf(domain, j, post, t)
-            for j in range(len(domain.subdomains))
-        ]
-    samples = sample_domain(domain, config, post, s, rng)
-    return sub_cdfs, samples
+def _map(fn, n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n - 1)], computed on a pool of `threads` workers
+    when threads > 1.  The only thread pool of the engine."""
+    if threads <= 1:
+        return [fn(k) for k in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, range(n)))
 
 
-def _reliability_curve(member_samples, horizons, t, with_cdfs):
+def _posteriors(domain, i, grid, mc, master, threads):
+    """Stage 1: domain i's configs and one grid posterior per config."""
+    configs = generate_configs(
+        domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
+    )
+    log_lik = log_marginal_likelihood_grid(domain, grid)
+    posts = _map(
+        lambda k: hyper_posterior(domain, configs[k], grid, log_lik=log_lik),
+        len(configs),
+        threads,
+    )
+    return configs, posts
+
+
+def _quadrature(domain, posts, t, threads) -> List[np.ndarray]:
+    """Stage 2: per subdomain, the (K, T) array of quadrature CDFs."""
+    n_sub = len(domain.subdomains)
+    rows = _map(
+        lambda k: [subdomain_marginal_cdf(domain, j, posts[k], t) for j in range(n_sub)],
+        len(posts),
+        threads,
+    )
+    return [np.array([row[j] for row in rows]) for j in range(n_sub)]
+
+
+def _samples(domain, i, configs, posts, mc, master, threads) -> List[SampleSet]:
+    """Stage 3: Monte Carlo draws under each config, one substream each."""
+    return _map(
+        lambda k: sample_domain(
+            domain,
+            configs[k],
+            posts[k],
+            mc.samples_per_config,
+            master.substream(_STAGE_SAMPLES, i, k),
+        ),
+        len(posts),
+        threads,
+    )
+
+
+def _pair(system, domain_samples, mc, master) -> List[np.ndarray]:
+    """Stage 4: system aggregate p_L of every cross-domain config pairing."""
+    pairings = generate_pairings(
+        [len(s) for s in domain_samples],
+        mc.pairing_cap,
+        master.substream(_STAGE_PAIRINGS).seed,
+    )
+    return [sample_system(system, pairing, domain_samples) for pairing in pairings]
+
+
+def _reliability_curve(member_samples, horizons) -> ReliabilityCurve:
     lo, hi = [], []
-    cdf_envs = [] if with_cdfs else None
     for n_f in horizons:
         vals = [expected_reliability(p, n_f) for p in member_samples]
         lo.append(min(vals))
         hi.append(max(vals))
-        if with_cdfs:
-            members = [
-                reliability_cdf(empirical_cdf(p, t), t, n_f) for p in member_samples
-            ]
-            cdf_envs.append(envelope(members, t))
     return ReliabilityCurve(
-        horizons=tuple(horizons),
-        expected_lower=np.array(lo),
-        expected_upper=np.array(hi),
-        cdf_envelopes=cdf_envs,
+        horizons=tuple(horizons), expected_lower=np.array(lo), expected_upper=np.array(hi)
     )
 
 
@@ -330,40 +351,16 @@ def system_sample_arrays(
     mc: Optional[McSpec] = None,
     threads: int = 1,
 ) -> List[np.ndarray]:
-    """Per-pairing arrays of system-level samples p_L, skipping the
-    quadrature CDF stage.  Same seeds and draws as `infer`."""
+    """Per-pairing arrays of system-level samples p_L: the stages of
+    `infer` without quadrature, with the same seeds and draws."""
     system, grid_spec, mc, _ = validate(system, grid_spec, mc, None)
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
-    t = eval_grid(mc.t_grid_size)
-
-    domain_samples: List[List[SampleSet]] = []
-    for i, domain in enumerate(system.domains):
-        configs = generate_configs(
-            domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
-        )
-        log_lik = log_marginal_likelihood_grid(domain, grid)
-
-        def unit(k, _domain=domain, _log_lik=log_lik, _i=i, _configs=configs):
-            rng = master.substream(_STAGE_SAMPLES, _i, k)
-            return _domain_unit(
-                _domain, _configs[k], grid, _log_lik, mc.samples_per_config, rng, t, False
-            )[1]
-
-        ks = range(len(configs))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                samples = list(ex.map(unit, ks))
-        else:
-            samples = [unit(k) for k in ks]
-        domain_samples.append(samples)
-
-    pairings = generate_pairings(
-        [len(s) for s in domain_samples],
-        mc.pairing_cap,
-        master.substream(_STAGE_PAIRINGS).seed,
-    )
-    return [sample_system(system, pr, domain_samples) for pr in pairings]
+    domain_samples = [
+        _samples(domain, i, *_posteriors(domain, i, grid, mc, master, threads), mc, master, threads)
+        for i, domain in enumerate(system.domains)
+    ]
+    return _pair(system, domain_samples, mc, master)
 
 
 def infer(
@@ -373,7 +370,6 @@ def infer(
     query: Optional[ReliabilityQuery] = None,
     threads: int = 1,
     keep_members: bool = False,
-    reliability_cdfs: bool = False,
 ) -> InferenceReport:
     """Full envelope report at subdomain, domain, and system levels.
 
@@ -385,57 +381,28 @@ def infer(
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
 
-    m = len(system.domains)
-    domain_configs: List[List[HyperConfig]] = []
     domain_samples: List[List[SampleSet]] = []
     subdomain_envs: List[List[CdfEnvelope]] = []
     domain_envs: List[CdfEnvelope] = []
-    retained = grid.mu.nbytes + grid.nu.nbytes + grid.log_measure.nbytes
+    # grid mu, nu and log-measure, plus one log-likelihood per domain
+    retained = (3 + len(system.domains)) * grid.mu.nbytes
 
     for i, domain in enumerate(system.domains):
-        configs = generate_configs(
-            domain.box,
-            mc.configs_per_domain,
-            master.substream(_STAGE_CONFIGS, i).seed,
-        )
-        log_lik = log_marginal_likelihood_grid(domain, grid)
-        retained += log_lik.nbytes
-
-        def unit(k, _domain=domain, _log_lik=log_lik, _i=i, _configs=configs):
-            rng = master.substream(_STAGE_SAMPLES, _i, k)
-            return _domain_unit(
-                _domain, _configs[k], grid, _log_lik, mc.samples_per_config, rng, t, True
-            )
-
-        ks = range(len(configs))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(unit, ks))
-        else:
-            results = [unit(k) for k in ks]
-
-        sub_members = [
-            np.array([res[0][j] for res in results])
-            for j in range(len(domain.subdomains))
-        ]
-        samples = [res[1] for res in results]
+        configs, posts = _posteriors(domain, i, grid, mc, master, threads)
+        sub_members = _quadrature(domain, posts, t, threads)
+        samples = _samples(domain, i, configs, posts, mc, master, threads)
+        del configs, posts  # free this domain's posteriors before the next
         p_members = np.array([empirical_cdf(sl.p, t) for sl in samples])
 
         subdomain_envs.append(
             [envelope(mem, t, keep_members=keep_members) for mem in sub_members]
         )
         domain_envs.append(envelope(p_members, t, keep_members=keep_members))
-        domain_configs.append(configs)
         domain_samples.append(samples)
         retained += sum(sl.theta.nbytes + sl.p.nbytes for sl in samples)
         retained += sum(mem.nbytes for mem in sub_members) + p_members.nbytes
 
-    pairings = generate_pairings(
-        [len(c) for c in domain_configs],
-        mc.pairing_cap,
-        master.substream(_STAGE_PAIRINGS).seed,
-    )
-    p_l_arrays = [sample_system(system, pr, domain_samples) for pr in pairings]
+    p_l_arrays = _pair(system, domain_samples, mc, master)
     system_members = np.array([empirical_cdf(p, t) for p in p_l_arrays])
     system_env = envelope(system_members, t, keep_members=keep_members)
     retained += sum(p.nbytes for p in p_l_arrays) + system_members.nbytes
@@ -448,16 +415,13 @@ def infer(
     ]
     for i, domain in enumerate(system.domains):
         for j in range(len(domain.subdomains)):
-            theta_members = [sl.theta[:, j] for sl in domain_samples[i]]
             reliability[("subdomain", subdomain_labels[i][j])] = _reliability_curve(
-                theta_members, query.horizons, t, reliability_cdfs
+                [sl.theta[:, j] for sl in domain_samples[i]], query.horizons
             )
         reliability[("domain", domain_labels[i])] = _reliability_curve(
-            [sl.p for sl in domain_samples[i]], query.horizons, t, reliability_cdfs
+            [sl.p for sl in domain_samples[i]], query.horizons
         )
-    reliability[("system", "system")] = _reliability_curve(
-        p_l_arrays, query.horizons, t, reliability_cdfs
-    )
+    reliability[("system", "system")] = _reliability_curve(p_l_arrays, query.horizons)
 
     return InferenceReport(
         t=t,

@@ -8,21 +8,17 @@ scheme so that results never depend on scheduling order.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "ln_gamma",
     "ln_beta",
     "beta_cdf",
     "derive_substream",
     "RngState",
-    "sample_beta",
     "sample_categorical",
-    "sample_binomial",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -30,13 +26,6 @@ _MASK64 = (1 << 64) - 1
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of a special function."""
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not np.all(np.isfinite(x)) or np.any(np.asarray(x) <= 0.0):
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return sp.gammaln(x)
 
 
 def ln_beta(x: float, y: float) -> float:
@@ -103,13 +92,6 @@ class RngState:
         return f"RngState(seed={self.seed})"
 
 
-def sample_beta(rng: RngState, alpha, beta, size=None):
-    """Draw from Beta(alpha, beta); alpha, beta > 0 (scalars or arrays)."""
-    if np.any(np.asarray(alpha) <= 0.0) or np.any(np.asarray(beta) <= 0.0):
-        raise DomainError("sample_beta requires alpha, beta > 0")
-    return rng.gen.beta(alpha, beta, size=size)
-
-
 def sample_categorical(rng: RngState, weights, size=None):
     """Draw indices with the given probabilities.
 
@@ -124,12 +106,3 @@ def sample_categorical(rng: RngState, weights, size=None):
     cum[-1] = 1.0
     u = rng.gen.random(size=size)
     return np.searchsorted(cum, u, side="right")
-
-
-def sample_binomial(rng: RngState, n: int, p: float, size=None):
-    """Draw from Binomial(n, p)."""
-    if n < 0:
-        raise DomainError("binomial requires n >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("binomial requires p in [0, 1]")
-    return rng.gen.binomial(n, p, size=size)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (in-process via main)."""
 
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import hipllm.harness as harness
 from hipllm.cli import EXIT_CONFIG, EXIT_OK, main
+from hipllm.config import parse_config_dict
 from hipllm.model import GridSpec, McSpec
 from hipllm.numerics import beta_cdf
 
@@ -100,11 +102,45 @@ class TestInfer:
         main(["infer", "--config", str(cfg), "--out", str(out)])
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["hierarchy"] == DEGENERATE["hierarchy"]
+        # the echo is the resolved config: defaults filled, same run on re-parse
+        assert doc["config"]["grid"] == DEGENERATE["grid"]
+        assert doc["config"]["mc"] == {**dataclasses.asdict(McSpec()), **DEGENERATE["mc"]}
+        assert doc["config"]["output"] == {"csv": True, "json": True, "svg": False}
+        assert parse_config_dict(doc["config"]) == parse_config_dict(DEGENERATE)
         assert len(doc["t"]) == 51
         levels = {(e["level"], e["entity"]) for e in doc["envelopes"]}
         assert ("system", "system") in levels
         rel = {(e["level"], e["entity"]): e for e in doc["reliability"]}
         assert rel[("system", "system")]["horizons"] == [1, 5]
+
+    def test_seed_override_echoed(self, tmp_path):
+        cfg = write_config(tmp_path, DEGENERATE)
+        out = tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["master_seed"] == 5
+        assert doc["config"]["mc"]["master_seed"] == 5
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("hierarchy", "domains", 0, "subdomains", 0, "correct"), "abc"),
+            (("hierarchy", "domains", 0, "subdomains", 0, "correct"), 1.7),
+            (("hierarchy", "domains", 0, "omega"), 5),
+            (("hierarchy", "weights"), "ab"),
+            (("mc", "samples_per_config"), "x"),
+            (("query", "horizons"), 7),
+        ],
+        ids=["correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str", "horizons-int"],
+    )
+    def test_wrong_typed_value_exit_code(self, tmp_path, path, value):
+        doc = json.loads(json.dumps(DEGENERATE))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"schema_version": 1})
@@ -190,6 +226,25 @@ class TestSweeps:
             (out / "box00" / "envelopes.csv").read_bytes()
             != (out / "box01" / "envelopes.csv").read_bytes()
         )
+
+
+    def test_sweep_hyper_malformed_box_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, DEGENERATE)
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps([{"a": "xy", "b": [1, 1], "c": [1, 1], "d": [1, 1]}]))
+        code = main(
+            ["sweep-hyper", "--config", str(cfg), "--out", str(tmp_path / "o"), "--boxes", str(boxes)]
+        )
+        assert code == EXIT_CONFIG
+
+    def test_sweep_op_malformed_omegas_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, DEGENERATE)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([{"omegas": 3}]))
+        code = main(
+            ["sweep-op", "--config", str(cfg), "--out", str(tmp_path / "o"), "--weights", str(weights)]
+        )
+        assert code == EXIT_CONFIG
 
 
 class TestBaselineCommand:

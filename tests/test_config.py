@@ -2,10 +2,14 @@
 
 import json
 
+from pathlib import Path
+
 import pytest
 
-from hipllm.config import ConfigError, parse_config, parse_config_dict
+from hipllm.config import ConfigError, config_to_dict, parse_config, parse_config_dict
 from hipllm.model import ValidationError
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINIMAL = {
     "schema_version": 1,
@@ -39,10 +43,32 @@ class TestMinimal:
         assert box.a_range == (1.0, 12.0)
         assert box.c_range == (1.0, 25.0)
 
-    def test_raw_echo_preserved(self):
-        doc = make()
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            make(),
+            make(output={"csv": False, "svg": True}, query={"horizons": [3, 7]}),
+            json.loads((CONFIGS / "gpt4o_mini.json").read_text()),
+            make(hierarchy={
+                "domains": [{
+                    "subdomains": [{"correct": 3, "total": 10}, {"correct": 1, "total": 2}],
+                    "omega": [0.3333333, 0.6666667],
+                }],
+                "weights": [1.0],
+            }),
+        ],
+        ids=["minimal", "flags-and-horizons", "gpt4o", "renormalized-omega"],
+    )
+    def test_resolved_config_round_trip(self, doc):
+        # the echo carries every default and re-parses to the same run
         cfg = parse_config_dict(doc)
-        assert cfg.raw == doc
+        echo = json.loads(json.dumps(config_to_dict(cfg)))
+        assert set(echo) == {"schema_version", "hierarchy", "grid", "mc", "query", "output"}
+        assert set(echo["mc"]) == {
+            "samples_per_config", "configs_per_domain", "pairing_cap", "master_seed", "t_grid_size"
+        }
+        assert "box" in echo["hierarchy"]["domains"][0]
+        assert parse_config_dict(echo) == cfg
 
 
 class TestStrictness:
