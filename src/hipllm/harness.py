@@ -179,12 +179,10 @@ def summarize_method(
     samples: Union[np.ndarray, Sequence[np.ndarray]],
     p_gt: float,
 ) -> MethodSummary:
-    """Summarize either a single posterior sample array or a family of
-    per-config arrays (envelope method)."""
+    """Summarize either a single posterior sample array, taken as a family of
+    one, or a family of per-config arrays (envelope method)."""
     if isinstance(samples, np.ndarray) and samples.ndim == 1:
-        q05, med, q95 = _quantiles(samples)
-        err = abs(med - p_gt)
-        return MethodSummary(method, (med, med), (err, err), (q05, q95), scalar=True)
+        samples = [samples]
     triples = [_quantiles(np.asarray(s)) for s in samples]
     if not triples:
         raise ValueError("envelope summary requires at least one config")

@@ -12,9 +12,9 @@ configurations drawn from each domain's admissible box:
 4. pairing: capped cross-domain config tuples and the system aggregate
    p_L of each.
 
-`infer` reduces the stage outputs to envelopes, the pointwise min-max of
-the per-config CDFs, and to expected future reliability, the mean of the
-n_F-th power of the samples.  `system_sample_arrays` stops after pairing.
+`infer` reduces each member (a config, or a pairing's p_L) where it is made
+to a CDF row and an expected-reliability row; envelopes are the pointwise
+min-max over such rows.  `system_sample_arrays` stops after pairing.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,7 +111,6 @@ class SampleSet:
     theta: np.ndarray   # (S, n_subdomains)
     p: np.ndarray       # (S,) domain aggregate
     config: HyperConfig
-    seed: int
 
 
 @dataclass
@@ -207,7 +207,7 @@ def sample_domain(
         beta = sub.total - sub.correct + (1.0 - mu) * nu
         theta[:, j] = rng.substream(tags[j]).gen.beta(alpha, beta)
     p = theta @ np.asarray(domain.op_weights)
-    return SampleSet(theta=theta, p=p, config=config, seed=rng.seed)
+    return SampleSet(theta=theta, p=p, config=config)
 
 
 def empirical_cdf(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -324,24 +324,33 @@ def _samples(domain, i, configs, posts, mc, master, threads) -> List[SampleSet]:
     )
 
 
-def _pair(system, domain_samples, mc, master) -> List[np.ndarray]:
-    """Stage 4: system aggregate p_L of every cross-domain config pairing."""
+def _pair(system, domain_samples, mc, master) -> Iterator[np.ndarray]:
+    """Stage 4: system aggregate p_L of each cross-domain config pairing,
+    made one at a time as the caller iterates."""
     pairings = generate_pairings(
         [len(s) for s in domain_samples],
         mc.pairing_cap,
         master.substream(_STAGE_PAIRINGS).seed,
     )
-    return [sample_system(system, pairing, domain_samples) for pairing in pairings]
+    return (sample_system(system, pairing, domain_samples) for pairing in pairings)
 
 
-def _reliability_curve(member_samples, horizons) -> ReliabilityCurve:
-    lo, hi = [], []
-    for n_f in horizons:
-        vals = [expected_reliability(p, n_f) for p in member_samples]
-        lo.append(min(vals))
-        hi.append(max(vals))
-    return ReliabilityCurve(
-        horizons=tuple(horizons), expected_lower=np.array(lo), expected_upper=np.array(hi)
+def _rows(members: Iterable[np.ndarray], t, horizons):
+    """Reduce each member sample array, as it arrives, to its empirical CDF
+    row on t and its expected-reliability row over the horizons."""
+    cdf_rows, rel_rows = [], []
+    for p in members:
+        cdf_rows.append(empirical_cdf(p, t))
+        rel_rows.append([expected_reliability(p, n_f) for n_f in horizons])
+    return cdf_rows, rel_rows
+
+
+def _band(t, horizons, keep_members, cdf_rows, rel_rows):
+    """CDF envelope and expected-reliability curve of one entity from its
+    members' CDF rows (n, T) and reliability rows (n, H)."""
+    rel = np.array(rel_rows)
+    return envelope(cdf_rows, t, keep_members=keep_members), ReliabilityCurve(
+        horizons=tuple(horizons), expected_lower=rel.min(axis=0), expected_upper=rel.max(axis=0)
     )
 
 
@@ -360,7 +369,7 @@ def system_sample_arrays(
         _samples(domain, i, *_posteriors(domain, i, grid, mc, master, threads), mc, master, threads)
         for i, domain in enumerate(system.domains)
     ]
-    return _pair(system, domain_samples, mc, master)
+    return list(_pair(system, domain_samples, mc, master))
 
 
 def infer(
@@ -380,48 +389,41 @@ def infer(
     t = eval_grid(mc.t_grid_size)
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
+    horizons = query.horizons
+    band = partial(_band, t, horizons, keep_members)
 
+    domain_labels, subdomain_labels, subdomain_envs, domain_envs = [], [], [], []
+    reliability: Dict[Tuple[str, str], ReliabilityCurve] = {}
     domain_samples: List[List[SampleSet]] = []
-    subdomain_envs: List[List[CdfEnvelope]] = []
-    domain_envs: List[CdfEnvelope] = []
+    row_bytes = (t.size + len(horizons)) * t.itemsize  # one CDF row + one reliability row
     # grid mu, nu and log-measure, plus one log-likelihood per domain
     retained = (3 + len(system.domains)) * grid.mu.nbytes
 
     for i, domain in enumerate(system.domains):
         configs, posts = _posteriors(domain, i, grid, mc, master, threads)
-        sub_members = _quadrature(domain, posts, t, threads)
+        sub_cdfs = _quadrature(domain, posts, t, threads)
         samples = _samples(domain, i, configs, posts, mc, master, threads)
         del configs, posts  # free this domain's posteriors before the next
-        p_members = np.array([empirical_cdf(sl.p, t) for sl in samples])
 
-        subdomain_envs.append(
-            [envelope(mem, t, keep_members=keep_members) for mem in sub_members]
-        )
-        domain_envs.append(envelope(p_members, t, keep_members=keep_members))
+        label = domain.label or f"domain{i+1}"
+        sub_labels = [s.label or f"{label}.sub{j+1}" for j, s in enumerate(domain.subdomains)]
+        envs = []
+        for j, sub_label in enumerate(sub_labels):
+            rows = [[expected_reliability(sl.theta[:, j], n) for n in horizons] for sl in samples]
+            env, reliability[("subdomain", sub_label)] = band(sub_cdfs[j], rows)
+            envs.append(env)
+        env, reliability[("domain", label)] = band(*_rows((sl.p for sl in samples), t, horizons))
+        domain_labels.append(label)
+        subdomain_labels.append(sub_labels)
+        subdomain_envs.append(envs)
+        domain_envs.append(env)
         domain_samples.append(samples)
         retained += sum(sl.theta.nbytes + sl.p.nbytes for sl in samples)
-        retained += sum(mem.nbytes for mem in sub_members) + p_members.nbytes
+        retained += (len(sub_labels) + 1) * len(samples) * row_bytes
 
-    p_l_arrays = _pair(system, domain_samples, mc, master)
-    system_members = np.array([empirical_cdf(p, t) for p in p_l_arrays])
-    system_env = envelope(system_members, t, keep_members=keep_members)
-    retained += sum(p.nbytes for p in p_l_arrays) + system_members.nbytes
-
-    reliability: Dict[Tuple[str, str], ReliabilityCurve] = {}
-    domain_labels = [d.label or f"domain{i+1}" for i, d in enumerate(system.domains)]
-    subdomain_labels = [
-        [s.label or f"{domain_labels[i]}.sub{j+1}" for j, s in enumerate(d.subdomains)]
-        for i, d in enumerate(system.domains)
-    ]
-    for i, domain in enumerate(system.domains):
-        for j in range(len(domain.subdomains)):
-            reliability[("subdomain", subdomain_labels[i][j])] = _reliability_curve(
-                [sl.theta[:, j] for sl in domain_samples[i]], query.horizons
-            )
-        reliability[("domain", domain_labels[i])] = _reliability_curve(
-            [sl.p for sl in domain_samples[i]], query.horizons
-        )
-    reliability[("system", "system")] = _reliability_curve(p_l_arrays, query.horizons)
+    cdf_rows, rel_rows = _rows(_pair(system, domain_samples, mc, master), t, horizons)
+    system_env, reliability[("system", "system")] = band(cdf_rows, rel_rows)
+    retained += len(cdf_rows) * row_bytes
 
     return InferenceReport(
         t=t,

@@ -1,7 +1,9 @@
 """Engine tests: configs, quadrature CDFs, sampling, pairings, envelopes,
 and the reliability transforms."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,3 +389,25 @@ class TestInfer:
         curve = rep.reliability[("system", "system")]
         assert curve.expected_lower[0] == min(means)
         assert curve.expected_upper[0] == max(means)
+
+    def test_system_draws_not_retained(self):
+        # 64 x 64 = 4096 pairings of 2000 draws: holding every p_L array at
+        # once would take 4096 * 2000 * 8 bytes = 65.5 MB
+        dom = one_subdomain_system(c=30, n=40).domains[0]
+        sys_ = SystemSpec(
+            domains=(dom, dataclasses.replace(dom, label="d2")), domain_weights=(0.5, 0.5)
+        )
+        mc = McSpec(
+            samples_per_config=2000,
+            configs_per_domain=64,
+            pairing_cap=4096,
+            master_seed=3,
+            t_grid_size=11,
+        )
+        tracemalloc.start()
+        try:
+            infer(sys_, GridSpec(n_mu=4, n_nu=4), mc, ReliabilityQuery((1,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 2000 * 8
