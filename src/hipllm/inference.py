@@ -24,6 +24,7 @@ schedule.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -224,20 +225,15 @@ def generate_pairings(
     """Cross-domain config index tuples: the full Cartesian product when it
     fits under the cap, otherwise a seeded uniform sample without
     replacement of exactly `cap` distinct tuples."""
-    total = 1
-    for c in counts:
-        total *= c
-    if total <= cap:
+    if math.prod(counts) <= cap:
         return list(itertools.product(*[range(c) for c in counts]))
+    # one index per domain, so no flat index has to fit in int64; the dict
+    # keeps the first draw of each tuple in draw order
     rng = RngState(seed)
-    chosen: List[int] = []
-    seen = set()
+    chosen: Dict[Tuple[int, ...], None] = {}
     while len(chosen) < cap:
-        flat = int(rng.gen.integers(0, total))
-        if flat not in seen:
-            seen.add(flat)
-            chosen.append(flat)
-    return [tuple(int(v) for v in np.unravel_index(f, counts)) for f in chosen]
+        chosen.setdefault(tuple(int(v) for v in rng.gen.integers(0, counts)), None)
+    return list(chosen)
 
 
 def sample_system(

@@ -226,6 +226,13 @@ class TestPairings:
         assert len(set(pairs)) == 512
         assert all(0 <= i < 160 and 0 <= k < 160 for i, k in pairs)
 
+    def test_capped_sampling_beyond_int64(self):
+        # 160**9 ~ 6.9e19 tuples: more than a flat int64 index can address
+        pairs = generate_pairings([160] * 9, cap=512, seed=7)
+        assert len(pairs) == 512
+        assert len(set(pairs)) == 512
+        assert all(len(p) == 9 and all(0 <= k < 160 for k in p) for p in pairs)
+
     def test_single_domain(self):
         pairs = generate_pairings([4], cap=512, seed=0)
         assert pairs == [(0,), (1,), (2,), (3,)]
