@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +46,36 @@ EXIT_IO = 4
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    """argparse type: comma-separated nonnegative integers."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+        if all(v >= 0 for v in values):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated nonnegative integers, got {text!r}")
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite positive number."""
+    try:
+        value = float(text)
+        if 0.0 < value < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+
+
+def _interval(text: str) -> tuple[float, float]:
+    """argparse type: `lo,hi` with 0 < lo <= hi, both finite."""
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+        if 0.0 < lo <= hi < math.inf:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive interval lo,hi, got {text!r}")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -54,7 +84,7 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.mc = replace(cfg.mc, master_seed=args.seed)
     if getattr(args, "horizons", ""):
-        cfg.query = ReliabilityQuery(horizons=tuple(_int_list(args.horizons)))
+        cfg.query = ReliabilityQuery(horizons=tuple(args.horizons))
     cfg.emit_svg = cfg.emit_svg or args.svg
     return cfg
 
@@ -119,7 +149,12 @@ def cmd_sweep_op(args) -> int:
 
 def cmd_synth(args) -> int:
     gt = harness.default_ground_truth()
-    regimes = {"small": _int_list(args.small), "large": _int_list(args.large)}
+    regimes = {"small": args.small, "large": args.large}
+    for name, sizes in regimes.items():
+        if len(sizes) != len(gt.theta):
+            raise ConfigError(f"--{name}: need {len(gt.theta)} sample sizes, got {len(sizes)}")
+    if not 0.0 <= args.noise < 1.0:
+        raise ConfigError(f"--noise: must lie in [0, 1), got {args.noise}")
     mc = harness.default_mc()
     if args.configs:
         mc = replace(mc, configs_per_domain=args.configs)
@@ -167,7 +202,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    values = _int_list(args.values)
+    values = args.values
+    if len(values) < 3 or values[0] < 1 or values != sorted(set(values)):
+        raise ConfigError("--values: need at least 3 positive, strictly increasing values")
     records = harness.run_scaling_sweep(args.param, values, seed=args.seed)
     c, alpha = harness.fit_power_law(
         [r.value for r in records], [r.seconds for r in records]
@@ -192,22 +229,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if not 0 <= args.correct <= args.total:
+        raise ConfigError(f"need 0 <= --correct <= --total, got {args.correct}/{args.total}")
     post = bb_update(args.correct, args.total, args.prior_alpha, args.prior_beta)
     doc = {
         "posterior": {"alpha": post.alpha, "beta": post.beta},
         "posterior_mean": post.mean,
         "future_reliability": {
             str(n): bb_expected_future_reliability(post, n)
-            for n in _int_list(args.horizons)
+            for n in args.horizons
         },
     }
     if args.alpha_range and args.beta_range:
-        lo_hi = bb_mean_envelope(
-            args.correct,
-            args.total,
-            tuple(float(v) for v in args.alpha_range.split(",")),
-            tuple(float(v) for v in args.beta_range.split(",")),
-        )
+        lo_hi = bb_mean_envelope(args.correct, args.total, args.alpha_range, args.beta_range)
         doc["mean_envelope"] = list(lo_hi)
     text = json.dumps(doc, indent=2)
     print(text)
@@ -238,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reliability", help="future-reliability horizon sweep")
     add_run_opts(p)
-    p.add_argument("--horizons", default="", help="comma-separated n_F values")
+    p.add_argument("--horizons", type=_int_list, default=[], help="comma-separated n_F values")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep-hyper", help="repeat inference over prior boxes")
@@ -255,27 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--small", default="100,500,1000,300")
-    p.add_argument("--large", default="1000,5000,10000,3000")
+    p.add_argument("--small", type=_int_list, default="100,500,1000,300")
+    p.add_argument("--large", type=_int_list, default="1000,5000,10000,3000")
     p.add_argument("--configs", type=int, default=None, help="configs per domain")
     p.add_argument("--samples", type=int, default=None, help="samples per config")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="scaling sweep with power-law fit")
     p.add_argument("--param", required=True, choices=["m", "n", "K", "S", "G"])
-    p.add_argument("--values", required=True, help="comma-separated sweep values")
+    p.add_argument("--values", type=_int_list, required=True, help="comma-separated sweep values")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("baseline", help="closed-form Beta-Binomial run")
-    p.add_argument("--prior-alpha", type=float, default=1.0)
-    p.add_argument("--prior-beta", type=float, default=1.0)
+    p.add_argument("--prior-alpha", type=_positive, default=1.0)
+    p.add_argument("--prior-beta", type=_positive, default=1.0)
     p.add_argument("--correct", type=int, required=True)
     p.add_argument("--total", type=int, required=True)
-    p.add_argument("--horizons", default="1,10,100")
-    p.add_argument("--alpha-range", default=None, help="prior alpha interval lo,hi")
-    p.add_argument("--beta-range", default=None, help="prior beta interval lo,hi")
+    p.add_argument("--horizons", type=_int_list, default="1,10,100")
+    p.add_argument("--alpha-range", type=_interval, default=None, help="prior alpha interval lo,hi")
+    p.add_argument("--beta-range", type=_interval, default=None, help="prior beta interval lo,hi")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_baseline)
 

@@ -33,6 +33,10 @@ __all__ = [
 # anything closer is silently renormalized (absorbs decimal rounding).
 RENORM_TOL = 1e-6
 
+# Counts above this are not exactly representable as floats, and the
+# likelihood's special functions take floats.
+MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class SubdomainData:
@@ -204,6 +208,8 @@ def validate(
             spath = f"{dpath}.subdomains[{j}]"
             if sub.total < 0 or sub.correct < 0 or sub.correct > sub.total:
                 issues.append((spath, f"need 0 <= correct <= total, got {sub.correct}/{sub.total}"))
+            elif sub.total > MAX_COUNT:
+                issues.append((spath, "total exceeds 2**53, the largest exactly representable count"))
         if len(dom.op_weights) != len(dom.subdomains):
             issues.append((f"{dpath}.op_weights", "length must match number of subdomains"))
             ow = dom.op_weights

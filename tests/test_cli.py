@@ -142,6 +142,12 @@ class TestInfer:
         cfg = write_config(tmp_path, doc)
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_count_beyond_float_range_exit_code(self, tmp_path):
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["subdomains"][0].update(correct=10**30 - 1, total=10**30)
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"schema_version": 1})
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -306,3 +312,36 @@ class TestBenchCommand:
         with (out / "scaling_K.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["value"]) for r in rows] == [2.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reliability", "--config", "CFG", "--out", "OUT", "--horizons", "1,x"],
+        ["bench", "--param", "G", "--values", "0", "--out", "OUT"],
+        ["bench", "--param", "G", "--values", "500,1000", "--out", "OUT"],
+        ["synth", "--out", "OUT", "--small", "1,2"],
+        ["synth", "--out", "OUT", "--noise", "1.5"],
+        ["baseline", "--correct", "11", "--total", "10"],
+        ["baseline", "--correct", "3", "--total", "10", "--horizons", "x"],
+        ["baseline", "--correct", "3", "--total", "10", "--horizons", "-1"],
+        ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "1,x", "--beta-range", "1,2"],
+        ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "2,1", "--beta-range", "1,2"],
+        ["baseline", "--correct", "3", "--total", "10", "--prior-alpha", "-1"],
+        ["baseline", "--correct", "3", "--total", "10", "--prior-beta", "nan"],
+    ],
+    ids=[
+        "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
+        "synth-noise", "baseline-counts", "baseline-horizons", "baseline-negative-horizon",
+        "baseline-alpha-range", "baseline-reversed-range", "baseline-prior-alpha",
+        "baseline-prior-beta",
+    ],
+)
+def test_malformed_command_line_value_exit_code(tmp_path, argv):
+    cfg = write_config(tmp_path, DEGENERATE)
+    argv = [{"CFG": str(cfg), "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a value before main's handlers
+        code = exc.code
+    assert code == EXIT_CONFIG

@@ -45,21 +45,26 @@ def test_weight_sum_violation_rejected():
     assert any("op_weights" in path for path, _ in exc.value.issues)
 
 
-def test_count_violation_rejected():
-    bad = make_system()
-    bad = dataclasses.replace(
-        bad,
-        domains=(
-            dataclasses.replace(
-                bad.domains[0],
-                subdomains=(SubdomainData(5, 3), bad.domains[0].subdomains[1]),
-            ),
-            bad.domains[1],
-        ),
+def with_first_subdomain(sub):
+    system = make_system()
+    d1 = dataclasses.replace(
+        system.domains[0], subdomains=(sub, system.domains[0].subdomains[1])
     )
+    return dataclasses.replace(system, domains=(d1, system.domains[1]))
+
+
+def test_count_violation_rejected():
     with pytest.raises(ValidationError) as exc:
-        validate(bad)
+        validate(with_first_subdomain(SubdomainData(5, 3)))
     assert any("subdomains[0]" in path for path, _ in exc.value.issues)
+
+
+@pytest.mark.parametrize("total", [2**53 + 1, 10**30])
+def test_count_beyond_float_range_rejected(total):
+    with pytest.raises(ValidationError) as exc:
+        validate(with_first_subdomain(SubdomainData(total - 1, total)))
+    assert [path for path, _ in exc.value.issues] == ["system.domains[0].subdomains[0]"]
+    validate(with_first_subdomain(SubdomainData(2**53 - 1, 2**53)))
 
 
 def test_near_one_weights_renormalized():
