@@ -156,9 +156,9 @@ def cmd_synth(args) -> int:
     if not 0.0 <= args.noise < 1.0:
         raise ConfigError(f"--noise: must lie in [0, 1), got {args.noise}")
     mc = harness.default_mc()
-    if args.configs:
+    if args.configs is not None:
         mc = replace(mc, configs_per_domain=args.configs)
-    if args.samples:
+    if args.samples is not None:
         mc = replace(mc, samples_per_config=args.samples)
     rows = harness.run_rq5(gt, regimes, noise=args.noise, seed=args.seed, mc=mc)
 
@@ -231,6 +231,8 @@ def cmd_bench(args) -> int:
 def cmd_baseline(args) -> int:
     if not 0 <= args.correct <= args.total:
         raise ConfigError(f"need 0 <= --correct <= --total, got {args.correct}/{args.total}")
+    if (args.alpha_range is None) != (args.beta_range is None):
+        raise ConfigError("--alpha-range and --beta-range must be given together")
     post = bb_update(args.correct, args.total, args.prior_alpha, args.prior_beta)
     doc = {
         "posterior": {"alpha": post.alpha, "beta": post.beta},
@@ -240,7 +242,7 @@ def cmd_baseline(args) -> int:
             for n in args.horizons
         },
     }
-    if args.alpha_range and args.beta_range:
+    if args.alpha_range is not None:
         lo_hi = bb_mean_envelope(args.correct, args.total, args.alpha_range, args.beta_range)
         doc["mean_envelope"] = list(lo_hi)
     text = json.dumps(doc, indent=2)

@@ -322,19 +322,21 @@ class TestBenchCommand:
         ["bench", "--param", "G", "--values", "500,1000", "--out", "OUT"],
         ["synth", "--out", "OUT", "--small", "1,2"],
         ["synth", "--out", "OUT", "--noise", "1.5"],
+        ["synth", "--out", "OUT", "--configs", "0"],
         ["baseline", "--correct", "11", "--total", "10"],
         ["baseline", "--correct", "3", "--total", "10", "--horizons", "x"],
         ["baseline", "--correct", "3", "--total", "10", "--horizons", "-1"],
         ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "1,x", "--beta-range", "1,2"],
         ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "2,1", "--beta-range", "1,2"],
+        ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "1,3"],
         ["baseline", "--correct", "3", "--total", "10", "--prior-alpha", "-1"],
         ["baseline", "--correct", "3", "--total", "10", "--prior-beta", "nan"],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
-        "synth-noise", "baseline-counts", "baseline-horizons", "baseline-negative-horizon",
-        "baseline-alpha-range", "baseline-reversed-range", "baseline-prior-alpha",
-        "baseline-prior-beta",
+        "synth-noise", "synth-zero-configs", "baseline-counts", "baseline-horizons",
+        "baseline-negative-horizon", "baseline-alpha-range", "baseline-reversed-range",
+        "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):
