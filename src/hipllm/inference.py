@@ -227,12 +227,13 @@ def generate_pairings(
     replacement of exactly `cap` distinct tuples."""
     if math.prod(counts) <= cap:
         return list(itertools.product(*[range(c) for c in counts]))
-    # one index per domain, so no flat index has to fit in int64; the dict
-    # keeps the first draw of each tuple in draw order
+    # One index per domain, so no flat index has to fit in int64; a batch
+    # draws only the missing count, and the dict keeps draw order.
     rng = RngState(seed)
     chosen: Dict[Tuple[int, ...], None] = {}
     while len(chosen) < cap:
-        chosen.setdefault(tuple(int(v) for v in rng.gen.integers(0, counts)), None)
+        draws = rng.gen.integers(0, counts, size=(cap - len(chosen), len(counts)))
+        chosen.update((tuple(row), None) for row in draws.tolist())
     return list(chosen)
 
 
