@@ -1,20 +1,15 @@
 """The imprecise-inference engine.
 
-One pipeline of stages, run domain by domain over the K hyperparameter
-configurations drawn from each domain's admissible box:
-
-1. posteriors: the configs, the grid log-likelihood of the domain's
-   counts, and one grid hyper-posterior over (mu, nu) per config;
-2. quadrature: the deterministic CDF of every subdomain accuracy under
-   each config (`infer` only);
-3. sampling: Monte Carlo draws of the subdomain accuracies and the domain
-   aggregate under each config;
-4. pairing: capped cross-domain config tuples and the system aggregate
-   p_L of each.
-
-`infer` reduces each member (a config, or a pairing's p_L) where it is made
-to a CDF row and an expected-reliability row; envelopes are the pointwise
-min-max over such rows.  `system_sample_arrays` stops after pairing.
+Each domain draws K hyperparameter configurations from its admissible box.
+One work unit per (domain, config) computes the config's grid
+hyper-posterior over (mu, nu) and its Monte Carlo draws of the subdomain
+accuracies and the domain aggregate p, and reduces them where they are
+made: `infer` to each subdomain's quadrature CDF row and each entity's
+expected-reliability row, plus the domain's empirical CDF row.  Only p
+outlives the unit; capped cross-domain config pairings combine it into the
+system aggregate p_L, one pairing at a time, which `infer` reduces to its
+rows in turn and `system_sample_arrays` returns.  Envelopes are the
+pointwise min-max over the members' rows.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -28,7 +23,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +88,6 @@ class CdfEnvelope:
     t: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    members: Optional[np.ndarray] = None  # (n_members, T), kept on request
 
 
 @dataclass
@@ -240,28 +234,24 @@ def generate_pairings(
 def sample_system(
     system: SystemSpec,
     pairing: Tuple[int, ...],
-    domain_samples: Sequence[Sequence[SampleSet]],
+    domain_p: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """Index-aligned system aggregate p_L for one config pairing."""
-    slices = [domain_samples[i][k] for i, k in enumerate(pairing)]
-    sizes = {sl.p.size for sl in slices}
+    """Index-aligned system aggregate p_L for one config pairing, where
+    domain_p[i][k] holds domain i's aggregate draws under config k."""
+    slices = [domain_p[i][k] for i, k in enumerate(pairing)]
+    sizes = {p.size for p in slices}
     if len(sizes) != 1:
         raise ValueError(f"mismatched sample counts across domains: {sorted(sizes)}")
     w = np.asarray(system.domain_weights)
-    return sum(wi * sl.p for wi, sl in zip(w, slices))
+    return sum(wi * p for wi, p in zip(w, slices))
 
 
-def envelope(members: Sequence[np.ndarray], t: np.ndarray, keep_members: bool = False) -> CdfEnvelope:
+def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> CdfEnvelope:
     """Pointwise min-max over a family of CDFs on a common grid."""
     stack = np.asarray(members)
     if stack.ndim != 2 or stack.shape[0] < 1:
         raise ValueError("envelope requires at least one member CDF")
-    return CdfEnvelope(
-        t=t,
-        lower=stack.min(axis=0),
-        upper=stack.max(axis=0),
-        members=stack if keep_members else None,
-    )
+    return CdfEnvelope(t=t, lower=stack.min(axis=0), upper=stack.max(axis=0))
 
 
 def expected_reliability(samples: np.ndarray, n_f: int) -> float:
@@ -281,72 +271,45 @@ def _map(fn, n: int, threads: int) -> list:
         return list(ex.map(fn, range(n)))
 
 
-def _posteriors(domain, i, grid, mc, master, threads):
-    """Stage 1: domain i's configs and one grid posterior per config."""
+def _domain(domain, i, grid, mc, master, threads, unit) -> list:
+    """Domain i's K work units, one per config: the config's grid posterior
+    and its Monte Carlo draws on substream (samples, i, k), handed to
+    `unit(post, draws)`.  Returns the units' results in config order."""
     configs = generate_configs(
         domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
     )
     log_lik = log_marginal_likelihood_grid(domain, grid)
-    posts = _map(
-        lambda k: hyper_posterior(domain, configs[k], grid, log_lik=log_lik),
-        len(configs),
-        threads,
-    )
-    return configs, posts
+
+    def work(k):
+        post = hyper_posterior(domain, configs[k], grid, log_lik=log_lik)
+        rng = master.substream(_STAGE_SAMPLES, i, k)
+        return unit(post, sample_domain(domain, configs[k], post, mc.samples_per_config, rng))
+
+    return _map(work, len(configs), threads)
 
 
-def _quadrature(domain, posts, t, threads) -> List[np.ndarray]:
-    """Stage 2: per subdomain, the (K, T) array of quadrature CDFs."""
-    n_sub = len(domain.subdomains)
-    rows = _map(
-        lambda k: [subdomain_marginal_cdf(domain, j, posts[k], t) for j in range(n_sub)],
-        len(posts),
-        threads,
-    )
-    return [np.array([row[j] for row in rows]) for j in range(n_sub)]
-
-
-def _samples(domain, i, configs, posts, mc, master, threads) -> List[SampleSet]:
-    """Stage 3: Monte Carlo draws under each config, one substream each."""
-    return _map(
-        lambda k: sample_domain(
-            domain,
-            configs[k],
-            posts[k],
-            mc.samples_per_config,
-            master.substream(_STAGE_SAMPLES, i, k),
-        ),
-        len(posts),
-        threads,
-    )
-
-
-def _pair(system, domain_samples, mc, master) -> Iterator[np.ndarray]:
-    """Stage 4: system aggregate p_L of each cross-domain config pairing,
-    made one at a time as the caller iterates."""
+def _pair(system, domain_p, mc, master) -> Iterator[np.ndarray]:
+    """System aggregate p_L of each cross-domain config pairing, made one
+    at a time as the caller iterates."""
     pairings = generate_pairings(
-        [len(s) for s in domain_samples],
+        [len(p) for p in domain_p],
         mc.pairing_cap,
         master.substream(_STAGE_PAIRINGS).seed,
     )
-    return (sample_system(system, pairing, domain_samples) for pairing in pairings)
+    return (sample_system(system, pairing, domain_p) for pairing in pairings)
 
 
-def _rows(members: Iterable[np.ndarray], t, horizons):
-    """Reduce each member sample array, as it arrives, to its empirical CDF
-    row on t and its expected-reliability row over the horizons."""
-    cdf_rows, rel_rows = [], []
-    for p in members:
-        cdf_rows.append(empirical_cdf(p, t))
-        rel_rows.append([expected_reliability(p, n_f) for n_f in horizons])
-    return cdf_rows, rel_rows
+def _row(p, t, horizons):
+    """A member sample array's empirical CDF row on t and its
+    expected-reliability row over the horizons."""
+    return empirical_cdf(p, t), [expected_reliability(p, n_f) for n_f in horizons]
 
 
-def _band(t, horizons, keep_members, cdf_rows, rel_rows):
+def _band(t, horizons, cdf_rows, rel_rows):
     """CDF envelope and expected-reliability curve of one entity from its
     members' CDF rows (n, T) and reliability rows (n, H)."""
     rel = np.array(rel_rows)
-    return envelope(cdf_rows, t, keep_members=keep_members), ReliabilityCurve(
+    return envelope(cdf_rows, t), ReliabilityCurve(
         horizons=tuple(horizons), expected_lower=rel.min(axis=0), expected_upper=rel.max(axis=0)
     )
 
@@ -357,16 +320,16 @@ def system_sample_arrays(
     mc: Optional[McSpec] = None,
     threads: int = 1,
 ) -> List[np.ndarray]:
-    """Per-pairing arrays of system-level samples p_L: the stages of
-    `infer` without quadrature, with the same seeds and draws."""
+    """Per-pairing arrays of system-level samples p_L: the work units and
+    pairings of `infer` without quadrature, with the same seeds and draws."""
     system, grid_spec, mc, _ = validate(system, grid_spec, mc, None)
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
-    domain_samples = [
-        _samples(domain, i, *_posteriors(domain, i, grid, mc, master, threads), mc, master, threads)
+    domain_p = [
+        _domain(domain, i, grid, mc, master, threads, lambda post, draws: draws.p)
         for i, domain in enumerate(system.domains)
     ]
-    return list(_pair(system, domain_samples, mc, master))
+    return list(_pair(system, domain_p, mc, master))
 
 
 def infer(
@@ -375,7 +338,6 @@ def infer(
     mc: Optional[McSpec] = None,
     query: Optional[ReliabilityQuery] = None,
     threads: int = 1,
-    keep_members: bool = False,
 ) -> InferenceReport:
     """Full envelope report at subdomain, domain, and system levels.
 
@@ -387,38 +349,45 @@ def infer(
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
     horizons = query.horizons
-    band = partial(_band, t, horizons, keep_members)
+    band = partial(_band, t, horizons)
+    row = partial(_row, t=t, horizons=horizons)
 
     domain_labels, subdomain_labels, subdomain_envs, domain_envs = [], [], [], []
     reliability: Dict[Tuple[str, str], ReliabilityCurve] = {}
-    domain_samples: List[List[SampleSet]] = []
+    domain_p: List[List[np.ndarray]] = []
     row_bytes = (t.size + len(horizons)) * t.itemsize  # one CDF row + one reliability row
-    # grid mu, nu and log-measure, plus one log-likelihood per domain
-    retained = (3 + len(system.domains)) * grid.mu.nbytes
+    # grid mu, nu and log-measure, plus the log-likelihood of the domain in hand
+    retained = 4 * grid.mu.nbytes
 
     for i, domain in enumerate(system.domains):
-        configs, posts = _posteriors(domain, i, grid, mc, master, threads)
-        sub_cdfs = _quadrature(domain, posts, t, threads)
-        samples = _samples(domain, i, configs, posts, mc, master, threads)
-        del configs, posts  # free this domain's posteriors before the next
 
+        def unit(post, draws):
+            """This config's (CDF row, reliability row) of each subdomain,
+            then of the domain, and its domain draws p."""
+            rows = [
+                (
+                    subdomain_marginal_cdf(domain, j, post, t),
+                    [expected_reliability(draws.theta[:, j], n) for n in horizons],
+                )
+                for j in range(len(domain.subdomains))
+            ]
+            return rows + [row(draws.p)], draws.p
+
+        units = _domain(domain, i, grid, mc, master, threads, unit)
         label = domain.label or f"domain{i+1}"
         sub_labels = [s.label or f"{label}.sub{j+1}" for j, s in enumerate(domain.subdomains)]
         envs = []
-        for j, sub_label in enumerate(sub_labels):
-            rows = [[expected_reliability(sl.theta[:, j], n) for n in horizons] for sl in samples]
-            env, reliability[("subdomain", sub_label)] = band(sub_cdfs[j], rows)
+        for e, key in enumerate([("subdomain", sl) for sl in sub_labels] + [("domain", label)]):
+            env, reliability[key] = band(*zip(*(rows[e] for rows, _ in units)))
             envs.append(env)
-        env, reliability[("domain", label)] = band(*_rows((sl.p for sl in samples), t, horizons))
         domain_labels.append(label)
         subdomain_labels.append(sub_labels)
-        subdomain_envs.append(envs)
-        domain_envs.append(env)
-        domain_samples.append(samples)
-        retained += sum(sl.theta.nbytes + sl.p.nbytes for sl in samples)
-        retained += (len(sub_labels) + 1) * len(samples) * row_bytes
+        subdomain_envs.append(envs[:-1])
+        domain_envs.append(envs[-1])
+        domain_p.append([p for _, p in units])
+        retained += sum(p.nbytes for p in domain_p[-1]) + len(envs) * len(units) * row_bytes
 
-    cdf_rows, rel_rows = _rows(_pair(system, domain_samples, mc, master), t, horizons)
+    cdf_rows, rel_rows = zip(*map(row, _pair(system, domain_p, mc, master)))
     system_env, reliability[("system", "system")] = band(cdf_rows, rel_rows)
     retained += len(cdf_rows) * row_bytes
 

@@ -35,6 +35,7 @@ from hipllm.inference import (
     sample_domain,
     sample_system,
     subdomain_marginal_cdf,
+    system_sample_arrays,
 )
 from hipllm.model import (
     DomainSpec,
@@ -300,7 +301,7 @@ def test_criterion_9_structural_properties():
         samples_per_config=500, configs_per_domain=16, master_seed=7, t_grid_size=101
     )
     grid = GridSpec(n_mu=20, n_nu=16)
-    report = infer(cfg.system, grid, mc, threads=1, keep_members=True)
+    report = infer(cfg.system, grid, mc, threads=1)
 
     issues = []
     for level, entity, env in report.entity_envelopes():
@@ -313,7 +314,7 @@ def test_criterion_9_structural_properties():
             issues.append(f"{level}/{entity} lower exceeds upper")
 
     # an envelope over more configs can only widen
-    members = report.system_envelope.members
+    members = [empirical_cdf(p, report.t) for p in system_sample_arrays(cfg.system, grid, mc)]
     sub = envelope(members[: len(members) // 2], report.t)
     sup = envelope(members, report.t)
     if np.any(sup.lower > sub.lower + 1e-15) or np.any(sup.upper < sub.upper - 1e-15):
@@ -331,14 +332,14 @@ def test_criterion_9_structural_properties():
             ds.p > ds.theta.max(axis=1) + 1e-12
         ):
             issues.append(f"domain {i} aggregate outside subdomain hull")
-        domain_sets.append([ds])
+        domain_sets.append([ds.p])
     p_l = sample_system(system, (0, 0), domain_sets)
-    stack = np.stack([ds[0].p for ds in domain_sets])
+    stack = np.stack([ds[0] for ds in domain_sets])
     if np.any(p_l < stack.min(axis=0) - 1e-12) or np.any(p_l > stack.max(axis=0) + 1e-12):
         issues.append("system aggregate outside domain hull")
 
     # thread count must not change a single bit of the result
-    threaded = infer(cfg.system, grid, mc, threads=4, keep_members=True)
+    threaded = infer(cfg.system, grid, mc, threads=4)
     for (l1, e1, env1), (l2, e2, env2) in zip(
         report.entity_envelopes(), threaded.entity_envelopes()
     ):

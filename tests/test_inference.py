@@ -250,7 +250,7 @@ class TestSampleSystem:
         h = HyperConfig(2, 2, 2, 2)
         post = hyper_posterior(sys_.domains[0], h, grid)
         sl = sample_domain(sys_.domains[0], h, post, 300, RngState(2))
-        p_l = sample_system(sys_, (0,), [[sl]])
+        p_l = sample_system(sys_, (0,), [[sl.p]])
         np.testing.assert_array_equal(p_l, sl.p)
 
     def test_constant_mixture(self):
@@ -261,8 +261,7 @@ class TestSampleSystem:
             ),
             domain_weights=(0.5, 0.5),
         )
-        mk = lambda v: type("S", (), {"p": np.full(10, v)})()
-        p_l = sample_system(sys_, (0, 0), [[mk(0.4)], [mk(0.6)]])
+        p_l = sample_system(sys_, (0, 0), [[np.full(10, 0.4)], [np.full(10, 0.6)]])
         np.testing.assert_allclose(p_l, 0.5)
 
     def test_mismatched_sizes_rejected(self):
@@ -273,9 +272,8 @@ class TestSampleSystem:
             ),
             domain_weights=(0.5, 0.5),
         )
-        mk = lambda n: type("S", (), {"p": np.zeros(n)})()
         with pytest.raises(ValueError):
-            sample_system(sys_, (0, 0), [[mk(10)], [mk(20)]])
+            sample_system(sys_, (0, 0), [[np.zeros(10)], [np.zeros(20)]])
 
 
 class TestEnvelope:
@@ -418,3 +416,23 @@ class TestInfer:
         finally:
             tracemalloc.stop()
         assert peak < 4096 * 2000 * 8
+
+    def test_domain_theta_not_retained(self):
+        # 64 configs x 2000 draws x 8 subdomains: holding every config's
+        # subdomain draws at once would take 64 * 2000 * 8 * 8 bytes = 8.2 MB
+        k, s, n_sub = 64, 2000, 8
+        dom = DomainSpec(
+            subdomains=tuple(SubdomainData(20 + j, 40) for j in range(n_sub)),
+            op_weights=(1.0 / n_sub,) * n_sub,
+            box=default_box(),
+            label="d1",
+        )
+        sys_ = SystemSpec(domains=(dom,), domain_weights=(1.0,))
+        mc = McSpec(samples_per_config=s, configs_per_domain=k, master_seed=3, t_grid_size=11)
+        tracemalloc.start()
+        try:
+            infer(sys_, GridSpec(n_mu=4, n_nu=4), mc, ReliabilityQuery((1,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * s * n_sub * 8 / 2
