@@ -35,7 +35,7 @@ from .config import (
 )
 from .hyperposterior import NumericalError
 from .inference import infer
-from .model import ReliabilityQuery, ValidationError
+from .model import SEED_LIMIT, ReliabilityQuery, ValidationError
 from .numerics import DomainError
 from .report import emit_csv, emit_json, emit_svg
 
@@ -54,6 +54,24 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected comma-separated nonnegative integers, got {text!r}")
+
+
+def _int_range(lo: int, hi: float):
+    """argparse type: an integer in [lo, hi)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if lo <= value < hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer in [{lo}, {hi}), got {text!r}")
+
+    return parse
+
+
+_seed = _int_range(0, SEED_LIMIT)
 
 
 def _positive(text: str) -> float:
@@ -264,8 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_opts(p):
         p.add_argument("--config", required=True, help="JSON config file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
+        p.add_argument("--seed", type=_seed, default=None, help="override master seed")
+        p.add_argument(
+            "--threads", type=_int_range(1, math.inf), default=1, help="worker threads (speed only)"
+        )
         p.add_argument("--svg", action="store_true", help="also emit SVG bands")
 
     p = sub.add_parser("infer", help="full CDF envelope report")
@@ -289,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthetic ground-truth comparison tables")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise", type=float, default=0.2)
     p.add_argument("--small", type=_int_list, default="100,500,1000,300")
     p.add_argument("--large", type=_int_list, default="1000,5000,10000,3000")
@@ -301,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["m", "n", "K", "S", "G"])
     p.add_argument("--values", type=_int_list, required=True, help="comma-separated sweep values")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("baseline", help="closed-form Beta-Binomial run")

@@ -37,6 +37,10 @@ RENORM_TOL = 1e-6
 # likelihood's special functions take floats.
 MAX_COUNT = 2**53
 
+# Master seeds are 64-bit; the generator would alias any wider seed to one
+# inside the range.
+SEED_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class SubdomainData:
@@ -232,6 +236,8 @@ def validate(
         issues.append(("mc.pairing_cap", "must be >= 1"))
     if mc.t_grid_size < 2:
         issues.append(("mc.t_grid_size", "must be >= 2"))
+    if not 0 <= mc.master_seed < SEED_LIMIT:
+        issues.append(("mc.master_seed", "must lie in [0, 2**64)"))
 
     if any(h < 1 or int(h) != h for h in query.horizons):
         issues.append(("query.horizons", "horizons must be strictly positive integers"))

@@ -331,12 +331,19 @@ class TestBenchCommand:
         ["baseline", "--correct", "3", "--total", "10", "--alpha-range", "1,3"],
         ["baseline", "--correct", "3", "--total", "10", "--prior-alpha", "-1"],
         ["baseline", "--correct", "3", "--total", "10", "--prior-beta", "nan"],
+        ["infer", "--config", "CFG", "--out", "OUT", "--threads", "0"],
+        ["infer", "--config", "CFG", "--out", "OUT", "--threads", "-3"],
+        ["infer", "--config", "CFG", "--out", "OUT", "--seed", "-1"],
+        ["infer", "--config", "CFG", "--out", "OUT", "--seed", "18446744073709551616"],
+        ["synth", "--out", "OUT", "--seed", "-1"],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
         "synth-noise", "synth-zero-configs", "baseline-counts", "baseline-horizons",
         "baseline-negative-horizon", "baseline-alpha-range", "baseline-reversed-range",
         "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",
+        "infer-zero-threads", "infer-negative-threads", "infer-negative-seed",
+        "infer-seed-beyond-64-bits", "synth-negative-seed",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):

@@ -67,6 +67,14 @@ def test_count_beyond_float_range_rejected(total):
     validate(with_first_subdomain(SubdomainData(2**53 - 1, 2**53)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_master_seed_beyond_64_bits_rejected(seed):
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(), mc=McSpec(master_seed=seed))
+    assert [path for path, _ in exc.value.issues] == ["mc.master_seed"]
+    validate(make_system(), mc=McSpec(master_seed=2**64 - 1))
+
+
 def test_near_one_weights_renormalized():
     # decimal rounding within 1e-6 is absorbed, beyond is rejected
     system, *_ = validate(make_system(w=(0.1490001, 0.851)))
