@@ -35,7 +35,7 @@ from .config import (
 )
 from .hyperposterior import NumericalError
 from .inference import infer
-from .model import SEED_LIMIT, ReliabilityQuery, ValidationError
+from .model import MAX_COUNT, SEED_LIMIT, ReliabilityQuery, ValidationError
 from .numerics import DomainError
 from .report import emit_csv, emit_json, emit_svg
 
@@ -46,14 +46,16 @@ EXIT_IO = 4
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type: comma-separated nonnegative integers."""
+    """argparse type: comma-separated integers in [0, 2**53]."""
     try:
         values = [int(v) for v in text.split(",") if v.strip()]
-        if all(v >= 0 for v in values):
+        if all(0 <= v <= MAX_COUNT for v in values):
             return values
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated nonnegative integers, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated integers in [0, 2**53], got {text!r}"
+    )
 
 
 def _int_range(lo: int, hi: float):

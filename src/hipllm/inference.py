@@ -4,12 +4,16 @@ Each domain draws K hyperparameter configurations from its admissible box.
 One work unit per (domain, config) computes the config's grid
 hyper-posterior over (mu, nu) and its Monte Carlo draws of the subdomain
 accuracies and the domain aggregate p, and reduces them where they are
-made: `infer` to each subdomain's quadrature CDF row and each entity's
-expected-reliability row, plus the domain's empirical CDF row.  Only p
-outlives the unit; capped cross-domain config pairings combine it into the
-system aggregate p_L, one pairing at a time, which `infer` reduces to its
-rows in turn and `system_sample_arrays` returns.  Envelopes are the
-pointwise min-max over the members' rows.
+made: `infer` to one block of CDF rows (each subdomain's quadrature CDF,
+then the domain's empirical CDF) and one block of expected-reliability
+rows (one row of every horizon per sample array).  Only p outlives the
+unit; capped cross-domain config pairings combine it into the system
+aggregate p_L, one pairing at a time, which `infer` reduces to its rows in
+turn and `system_sample_arrays` returns.
+
+The report is one table keyed (level, entity name): every subdomain,
+domain and the system has a CDF envelope and an expected-reliability
+curve, each the pointwise min-max over its members' rows.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -22,7 +26,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +76,9 @@ _STAGE_CONFIGS = 1
 _STAGE_SAMPLES = 2
 _STAGE_PAIRINGS = 3
 
+# Report table order: subdomains domain by domain, then domains, then the system.
+_LEVELS = ("subdomain", "domain", "system")
+
 
 def eval_grid(t_grid_size: int) -> np.ndarray:
     """Uniform inclusive CDF evaluation grid on [0, 1]."""
@@ -105,29 +111,18 @@ class SampleSet:
 
     theta: np.ndarray   # (S, n_subdomains)
     p: np.ndarray       # (S,) domain aggregate
-    config: HyperConfig
 
 
 @dataclass
 class InferenceReport:
+    """Keyed (level, entity name): subdomains domain by domain, then
+    domains, then ("system", "system")."""
+
     t: np.ndarray
-    domain_labels: List[str]
-    subdomain_labels: List[List[str]]
-    subdomain_envelopes: List[List[CdfEnvelope]]
-    domain_envelopes: List[CdfEnvelope]
-    system_envelope: CdfEnvelope
-    reliability: Dict[Tuple[str, str], ReliabilityCurve]  # (level, entity name)
+    envelopes: Dict[Tuple[str, str], CdfEnvelope]
+    reliability: Dict[Tuple[str, str], ReliabilityCurve]  # same keys, same order
     master_seed: int
     live_array_bytes: int = 0
-
-    def entity_envelopes(self):
-        """Yield (level, entity name, envelope) over every reported envelope."""
-        for i, dom_envs in enumerate(self.subdomain_envelopes):
-            for j, env in enumerate(dom_envs):
-                yield "subdomain", self.subdomain_labels[i][j], env
-        for i, env in enumerate(self.domain_envelopes):
-            yield "domain", self.domain_labels[i], env
-        yield "system", "system", self.system_envelope
 
 
 def generate_configs(box: HyperBox, k: int, seed: int) -> List[HyperConfig]:
@@ -174,7 +169,6 @@ def subdomain_marginal_cdf(
 
 def sample_domain(
     domain: DomainSpec,
-    config: HyperConfig,
     post: HyperGrid,
     s: int,
     rng: RngState,
@@ -202,7 +196,7 @@ def sample_domain(
         beta = sub.total - sub.correct + (1.0 - mu) * nu
         theta[:, j] = rng.substream(tags[j]).gen.beta(alpha, beta)
     p = theta @ np.asarray(domain.op_weights)
-    return SampleSet(theta=theta, p=p, config=config)
+    return SampleSet(theta=theta, p=p)
 
 
 def empirical_cdf(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -254,12 +248,13 @@ def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> CdfEnvelope:
     return CdfEnvelope(t=t, lower=stack.min(axis=0), upper=stack.max(axis=0))
 
 
-def expected_reliability(samples: np.ndarray, n_f: int) -> float:
-    """Monte Carlo mean of the n_F-th power of the sampled probabilities."""
+def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.ndarray:
+    """Monte Carlo mean of each horizon's power n_F of the sampled
+    probabilities: the (H,) row of E[p ** n_F]."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("expected_reliability requires at least one sample")
-    return float(np.mean(samples ** n_f))
+    return np.mean(samples ** np.asarray(horizons)[:, None], axis=1)
 
 
 def _map(fn, n: int, threads: int) -> list:
@@ -283,7 +278,7 @@ def _domain(domain, i, grid, mc, master, threads, unit) -> list:
     def work(k):
         post = hyper_posterior(domain, configs[k], grid, log_lik=log_lik)
         rng = master.substream(_STAGE_SAMPLES, i, k)
-        return unit(post, sample_domain(domain, configs[k], post, mc.samples_per_config, rng))
+        return unit(post, sample_domain(domain, post, mc.samples_per_config, rng))
 
     return _map(work, len(configs), threads)
 
@@ -297,21 +292,6 @@ def _pair(system, domain_p, mc, master) -> Iterator[np.ndarray]:
         master.substream(_STAGE_PAIRINGS).seed,
     )
     return (sample_system(system, pairing, domain_p) for pairing in pairings)
-
-
-def _row(p, t, horizons):
-    """A member sample array's empirical CDF row on t and its
-    expected-reliability row over the horizons."""
-    return empirical_cdf(p, t), [expected_reliability(p, n_f) for n_f in horizons]
-
-
-def _band(t, horizons, cdf_rows, rel_rows):
-    """CDF envelope and expected-reliability curve of one entity from its
-    members' CDF rows (n, T) and reliability rows (n, H)."""
-    rel = np.array(rel_rows)
-    return envelope(cdf_rows, t), ReliabilityCurve(
-        horizons=tuple(horizons), expected_lower=rel.min(axis=0), expected_upper=rel.max(axis=0)
-    )
 
 
 def system_sample_arrays(
@@ -348,57 +328,54 @@ def infer(
     t = eval_grid(mc.t_grid_size)
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
-    horizons = query.horizons
-    band = partial(_band, t, horizons)
-    row = partial(_row, t=t, horizons=horizons)
+    horizons = tuple(query.horizons)
+    table: Dict[Tuple[str, str], Tuple[CdfEnvelope, ReliabilityCurve]] = {}
 
-    domain_labels, subdomain_labels, subdomain_envs, domain_envs = [], [], [], []
-    reliability: Dict[Tuple[str, str], ReliabilityCurve] = {}
+    def bands(keys, blocks) -> int:
+        """Add each key's envelope and curve to the table from the members'
+        (CDF rows, reliability rows) blocks, (E, T) and (E, H) for E keys;
+        returns the bytes of the stacked rows."""
+        cdf, rel = (np.array(stack) for stack in zip(*blocks))
+        for e, key in enumerate(keys):
+            table[key] = envelope(cdf[:, e], t), ReliabilityCurve(
+                horizons, rel[:, e].min(axis=0), rel[:, e].max(axis=0)
+            )
+        return cdf.nbytes + rel.nbytes
+
     domain_p: List[List[np.ndarray]] = []
-    row_bytes = (t.size + len(horizons)) * t.itemsize  # one CDF row + one reliability row
     # grid mu, nu and log-measure, plus the log-likelihood of the domain in hand
     retained = 4 * grid.mu.nbytes
 
     for i, domain in enumerate(system.domains):
 
         def unit(post, draws):
-            """This config's (CDF row, reliability row) of each subdomain,
-            then of the domain, and its domain draws p."""
-            rows = [
-                (
-                    subdomain_marginal_cdf(domain, j, post, t),
-                    [expected_reliability(draws.theta[:, j], n) for n in horizons],
-                )
-                for j in range(len(domain.subdomains))
-            ]
-            return rows + [row(draws.p)], draws.p
+            """This config's CDF rows and reliability rows, each subdomain's
+            then the domain's, and its domain draws p."""
+            cdf = [subdomain_marginal_cdf(domain, j, post, t) for j in range(draws.theta.shape[1])]
+            cdf.append(empirical_cdf(draws.p, t))
+            rel = [expected_reliability(x, horizons) for x in (*draws.theta.T, draws.p)]
+            return (np.array(cdf), np.array(rel)), draws.p
 
         units = _domain(domain, i, grid, mc, master, threads, unit)
         label = domain.label or f"domain{i+1}"
-        sub_labels = [s.label or f"{label}.sub{j+1}" for j, s in enumerate(domain.subdomains)]
-        envs = []
-        for e, key in enumerate([("subdomain", sl) for sl in sub_labels] + [("domain", label)]):
-            env, reliability[key] = band(*zip(*(rows[e] for rows, _ in units)))
-            envs.append(env)
-        domain_labels.append(label)
-        subdomain_labels.append(sub_labels)
-        subdomain_envs.append(envs[:-1])
-        domain_envs.append(envs[-1])
+        subs = enumerate(domain.subdomains)
+        keys = [("subdomain", s.label or f"{label}.sub{j+1}") for j, s in subs] + [("domain", label)]
         domain_p.append([p for _, p in units])
-        retained += sum(p.nbytes for p in domain_p[-1]) + len(envs) * len(units) * row_bytes
+        retained += sum(p.nbytes for p in domain_p[-1])
+        retained += bands(keys, [rows for rows, _ in units])
 
-    cdf_rows, rel_rows = zip(*map(row, _pair(system, domain_p, mc, master)))
-    system_env, reliability[("system", "system")] = band(cdf_rows, rel_rows)
-    retained += len(cdf_rows) * row_bytes
+    # one member per pairing, with a block of one row each
+    system_rows = (
+        (empirical_cdf(p, t)[None], expected_reliability(p, horizons)[None])
+        for p in _pair(system, domain_p, mc, master)
+    )
+    retained += bands([("system", "system")], system_rows)
 
+    order = sorted(table, key=lambda key: _LEVELS.index(key[0]))
     return InferenceReport(
         t=t,
-        domain_labels=domain_labels,
-        subdomain_labels=subdomain_labels,
-        subdomain_envelopes=subdomain_envs,
-        domain_envelopes=domain_envs,
-        system_envelope=system_env,
-        reliability=reliability,
+        envelopes={key: table[key][0] for key in order},
+        reliability={key: table[key][1] for key in order},
         master_seed=mc.master_seed,
         live_array_bytes=retained,
     )

@@ -241,6 +241,8 @@ def validate(
 
     if any(h < 1 or int(h) != h for h in query.horizons):
         issues.append(("query.horizons", "horizons must be strictly positive integers"))
+    elif any(h > MAX_COUNT for h in query.horizons):
+        issues.append(("query.horizons", "horizons may not exceed 2**53"))
 
     if issues:
         raise ValidationError(issues)

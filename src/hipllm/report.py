@@ -8,6 +8,7 @@ as a shaded band (no scripts, suitable for quick inspection only).
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -21,27 +22,32 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _write_csv(path: Path, master_seed: int, header: str, rows) -> None:
+    """A seed comment line, the header, then the rows, quoted where needed."""
+    with path.open("w", newline="") as fh:
+        fh.write(f"# master_seed={master_seed}\n{header}\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def emit_csv(report: InferenceReport, out_dir: str | Path) -> Dict[str, Path]:
     """Write envelopes.csv and reliability.csv; returns the file paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env_path = out_dir / "envelopes.csv"
     rel_path = out_dir / "reliability.csv"
-
-    lines = [f"# master_seed={report.master_seed}", "level,entity,t,lower,upper"]
-    for level, entity, env in report.entity_envelopes():
-        for t, lo, hi in zip(env.t, env.lower, env.upper):
-            lines.append(f"{level},{entity},{_fmt(t)},{_fmt(lo)},{_fmt(hi)}")
-    env_path.write_text("\n".join(lines) + "\n")
-
-    lines = [
-        f"# master_seed={report.master_seed}",
-        "level,entity,n_F,expected_lower,expected_upper",
-    ]
-    for (level, entity), curve in report.reliability.items():
-        for n_f, lo, hi in zip(curve.horizons, curve.expected_lower, curve.expected_upper):
-            lines.append(f"{level},{entity},{n_f},{_fmt(lo)},{_fmt(hi)}")
-    rel_path.write_text("\n".join(lines) + "\n")
+    env_rows = (
+        (level, entity, *map(_fmt, row))
+        for (level, entity), env in report.envelopes.items()
+        for row in zip(env.t, env.lower, env.upper)
+    )
+    _write_csv(env_path, report.master_seed, "level,entity,t,lower,upper", env_rows)
+    rel_rows = (
+        (level, entity, n_f, _fmt(lo), _fmt(hi))
+        for (level, entity), curve in report.reliability.items()
+        for n_f, lo, hi in zip(curve.horizons, curve.expected_lower, curve.expected_upper)
+    )
+    header = "level,entity,n_F,expected_lower,expected_upper"
+    _write_csv(rel_path, report.master_seed, header, rel_rows)
     return {"envelopes": env_path, "reliability": rel_path}
 
 
@@ -60,7 +66,7 @@ def report_to_dict(
                 "lower": [float(v) for v in env.lower],
                 "upper": [float(v) for v in env.upper],
             }
-            for level, entity, env in report.entity_envelopes()
+            for (level, entity), env in report.envelopes.items()
         ],
         "reliability": [
             {
@@ -103,6 +109,8 @@ def _y(f: float) -> float:
 
 def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
     """One shaded band per reported entity, with axes and a legend."""
+    import html  # here, not at the top: it adds about 0.5 MB to runs without SVG
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "envelopes.svg"
@@ -129,7 +137,7 @@ def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
         )
 
     legend_y = _MT + 6
-    for idx, (level, entity, env) in enumerate(report.entity_envelopes()):
+    for idx, ((level, entity), env) in enumerate(report.envelopes.items()):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         fwd = [f"{_x(t):.2f},{_y(u):.2f}" for t, u in zip(env.t, env.upper)]
         back = [f"{_x(t):.2f},{_y(l):.2f}" for t, l in zip(env.t[::-1], env.lower[::-1])]
@@ -139,7 +147,7 @@ def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
         )
         parts.append(
             f'<text x="{_W - _MR - 6}" y="{legend_y}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{level}:{entity}</text>'
+            f'font-size="11" fill="{color}">{html.escape(f"{level}:{entity}", quote=False)}</text>'
         )
         legend_y += 14
     parts.append("</svg>")

@@ -115,7 +115,7 @@ def test_criterion_2_degenerate_hierarchy():
     failures = 0
     sups = []
     for seed in range(5):
-        draws = sample_domain(domain, config, post, 10_000, RngState(seed))
+        draws = sample_domain(domain, post, 10_000, RngState(seed))
         sup = float(np.max(np.abs(empirical_cdf(draws.theta[:, 0], t) - exact)))
         sups.append(sup)
         if sup > dkw:
@@ -304,7 +304,7 @@ def test_criterion_9_structural_properties():
     report = infer(cfg.system, grid, mc, threads=1)
 
     issues = []
-    for level, entity, env in report.entity_envelopes():
+    for (level, entity), env in report.envelopes.items():
         for name, curve in (("lower", env.lower), ("upper", env.upper)):
             if np.any(np.diff(curve) < -1e-12):
                 issues.append(f"{level}/{entity} {name} not nondecreasing")
@@ -327,7 +327,7 @@ def test_criterion_9_structural_properties():
     for i, domain in enumerate(system.domains):
         config = generate_configs(domain.box, 4, seed=i)[0]
         post = hyper_posterior(domain, config, hgrid)
-        ds = sample_domain(domain, config, post, 1000, RngState(50 + i))
+        ds = sample_domain(domain, post, 1000, RngState(50 + i))
         if np.any(ds.p < ds.theta.min(axis=1) - 1e-12) or np.any(
             ds.p > ds.theta.max(axis=1) + 1e-12
         ):
@@ -340,8 +340,8 @@ def test_criterion_9_structural_properties():
 
     # thread count must not change a single bit of the result
     threaded = infer(cfg.system, grid, mc, threads=4)
-    for (l1, e1, env1), (l2, e2, env2) in zip(
-        report.entity_envelopes(), threaded.entity_envelopes()
+    for ((l1, e1), env1), ((l2, e2), env2) in zip(
+        report.envelopes.items(), threaded.envelopes.items()
     ):
         if not (
             np.array_equal(env1.lower, env2.lower)

@@ -96,6 +96,26 @@ class TestInfer:
         assert root.tag.endswith("svg")
         assert any(child.tag.endswith("polygon") for child in root.iter())
 
+    def run_with_label(self, tmp_path, label):
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["subdomains"][0]["label"] = label
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+        return out
+
+    def test_svg_escapes_labels(self, tmp_path):
+        out = self.run_with_label(tmp_path, "Q&A <hard>")
+        root = ET.parse(out / "envelopes.svg").getroot()
+        assert "subdomain:Q&A <hard>" in [el.text for el in root.iter() if el.tag.endswith("text")]
+
+    def test_csv_quotes_labels(self, tmp_path):
+        out = self.run_with_label(tmp_path, "code, python")
+        for name, rows_per_entity in (("envelopes.csv", 51), ("reliability.csv", 2)):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+            assert all(len(row) == 5 for row in rows)
+            assert sum(row[:2] == ["subdomain", "code, python"] for row in rows) == rows_per_entity
+
     def test_report_json_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, DEGENERATE)
         out = tmp_path / "out"
@@ -130,8 +150,13 @@ class TestInfer:
             (("hierarchy", "weights"), "ab"),
             (("mc", "samples_per_config"), "x"),
             (("query", "horizons"), 7),
+            (("query", "horizons"), [1, 2**53 + 1]),
+            (("query", "horizons"), [1, 10**400]),
         ],
-        ids=["correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str", "horizons-int"],
+        ids=[
+            "correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str",
+            "horizons-int", "horizon-2**53+1", "horizon-10**400",
+        ],
     )
     def test_wrong_typed_value_exit_code(self, tmp_path, path, value):
         doc = json.loads(json.dumps(DEGENERATE))
@@ -336,6 +361,9 @@ class TestBenchCommand:
         ["infer", "--config", "CFG", "--out", "OUT", "--seed", "-1"],
         ["infer", "--config", "CFG", "--out", "OUT", "--seed", "18446744073709551616"],
         ["synth", "--out", "OUT", "--seed", "-1"],
+        ["reliability", "--config", "CFG", "--out", "OUT", "--horizons", f"1,{10**400}"],
+        ["reliability", "--config", "CFG", "--out", "OUT", "--horizons", f"1,{2**53 + 1}"],
+        ["baseline", "--correct", "3", "--total", "10", "--horizons", f"1,{10**400}"],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
@@ -343,7 +371,8 @@ class TestBenchCommand:
         "baseline-negative-horizon", "baseline-alpha-range", "baseline-reversed-range",
         "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",
         "infer-zero-threads", "infer-negative-threads", "infer-negative-seed",
-        "infer-seed-beyond-64-bits", "synth-negative-seed",
+        "infer-seed-beyond-64-bits", "synth-negative-seed", "reliability-horizon-10**400",
+        "reliability-horizon-2**53+1", "baseline-horizon-10**400",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):

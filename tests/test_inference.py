@@ -110,7 +110,7 @@ class TestSubdomainMarginalCdf:
         quad = subdomain_marginal_cdf(dom, 0, post, t)[0]
         rng = RngState(404)
         s = 100_000
-        sl = sample_domain(dom, h, post, s, rng)
+        sl = sample_domain(dom, post, s, rng)
         mc = np.mean(sl.theta[:, 0] <= 0.5)
         assert quad == pytest.approx(mc, abs=0.01)
 
@@ -129,7 +129,7 @@ class TestSampleDomain:
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
         post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
-        sl = sample_domain(dom, HyperConfig(2, 2, 2, 2), post, 500, RngState(5))
+        sl = sample_domain(dom, post, 500, RngState(5))
         np.testing.assert_array_equal(sl.p, sl.theta[:, 0])
 
     def test_convex_combination(self):
@@ -140,7 +140,7 @@ class TestSampleDomain:
         )
         grid = build_grid(POINT_GRID)
         post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
-        sl = sample_domain(dom, HyperConfig(2, 2, 2, 2), post, 2000, RngState(6))
+        sl = sample_domain(dom, post, 2000, RngState(6))
         np.testing.assert_allclose(sl.p, 0.5 * sl.theta[:, 0] + 0.5 * sl.theta[:, 1])
         assert np.all(sl.p <= sl.theta.max(axis=1) + 1e-15)
         assert np.all(sl.p >= sl.theta.min(axis=1) - 1e-15)
@@ -154,7 +154,7 @@ class TestSampleDomain:
         bound = math.sqrt(math.log(2 / 0.01) / (2 * s))
         failures = 0
         for seed in range(5):
-            sl = sample_domain(dom, HyperConfig(2, 2, 2, 2), post, s, RngState(seed))
+            sl = sample_domain(dom, post, s, RngState(seed))
             t = eval_grid(201)
             emp = empirical_cdf(sl.p, t)
             if np.max(np.abs(emp - beta_cdf(t, 4.0, 8.0))) > bound:
@@ -170,9 +170,9 @@ class TestSampleDomain:
         h = HyperConfig(2, 3, 2, 2)
         post = hyper_posterior(dom, h, grid)
         post_perm = hyper_posterior(dom_perm, h, grid)
-        sl = sample_domain(dom, h, post, 1000, RngState(11), sub_stream_tags=[1, 2])
+        sl = sample_domain(dom, post, 1000, RngState(11), sub_stream_tags=[1, 2])
         sl_perm = sample_domain(
-            dom_perm, h, post_perm, 1000, RngState(11), sub_stream_tags=[2, 1]
+            dom_perm, post_perm, 1000, RngState(11), sub_stream_tags=[2, 1]
         )
         # identical up to summation order in the weighted aggregate
         np.testing.assert_allclose(sl.p, sl_perm.p, rtol=0, atol=1e-12)
@@ -186,7 +186,7 @@ class TestSampleDomain:
         for c in (40, 45):
             dom = one_subdomain_system(c, 100).domains[0]
             post = hyper_posterior(dom, h, grid)
-            sl = sample_domain(dom, h, post, s, RngState(21))
+            sl = sample_domain(dom, post, s, RngState(21))
             means.append(sl.theta[:, 0].mean())
         se = 1.0 / math.sqrt(12 * s)  # crude bound on the SE of a [0,1] mean
         assert means[1] - means[0] > 3 * se
@@ -249,7 +249,7 @@ class TestSampleSystem:
         grid = build_grid(POINT_GRID)
         h = HyperConfig(2, 2, 2, 2)
         post = hyper_posterior(sys_.domains[0], h, grid)
-        sl = sample_domain(sys_.domains[0], h, post, 300, RngState(2))
+        sl = sample_domain(sys_.domains[0], post, 300, RngState(2))
         p_l = sample_system(sys_, (0,), [[sl.p]])
         np.testing.assert_array_equal(p_l, sl.p)
 
@@ -304,16 +304,16 @@ class TestEnvelope:
 
 class TestReliabilityTransforms:
     def test_expected_reliability_examples(self):
-        assert expected_reliability(np.ones(10), 50) == 1.0
-        assert expected_reliability(np.array([0.5]), 2) == 0.25
+        assert expected_reliability(np.ones(10), [50])[0] == 1.0
+        assert expected_reliability(np.array([0.5]), [2])[0] == 0.25
 
     def test_expected_reliability_beta_moment(self):
         draws = RngState(17).gen.beta(5, 9, size=100_000)
-        assert expected_reliability(draws, 3) == pytest.approx(0.0625, abs=0.005)
+        assert expected_reliability(draws, [3])[0] == pytest.approx(0.0625, abs=0.005)
 
     def test_horizon_monotonicity(self):
         draws = RngState(19).gen.random(1000)
-        vals = [expected_reliability(draws, n) for n in (1, 2, 5, 10, 100)]
+        vals = expected_reliability(draws, (1, 2, 5, 10, 100))
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -327,15 +327,15 @@ class TestInfer:
         rep = self.degenerate_report()
         t = rep.t
         exact = beta_cdf(t, 4.0, 8.0)
-        sub = rep.subdomain_envelopes[0][0]
+        sub = rep.envelopes[("subdomain", "only")]
         np.testing.assert_allclose(sub.lower, exact, atol=1e-9)
         np.testing.assert_allclose(sub.upper, exact, atol=1e-9)
         # sampled domain/system envelopes collapse to the same CDF up to MC noise
-        assert np.max(np.abs(rep.system_envelope.lower - exact)) < 0.06
+        assert np.max(np.abs(rep.envelopes[("system", "system")].lower - exact)) < 0.06
 
     def test_every_cdf_monotone_ending_at_one(self):
         rep = self.degenerate_report()
-        for _, _, env in rep.entity_envelopes():
+        for env in rep.envelopes.values():
             for curve in (env.lower, env.upper):
                 assert np.all(np.diff(curve) >= -1e-12)
                 assert curve[-1] == pytest.approx(1.0, abs=1e-12)
@@ -355,8 +355,8 @@ class TestInfer:
             mc,
             ReliabilityQuery((1,)),
         )
-        sub_full = rep_full.subdomain_envelopes[0][0]
-        sub_point = rep_point.subdomain_envelopes[0][0]
+        sub_full = rep_full.envelopes[("subdomain", "only")]
+        sub_point = rep_point.envelopes[("subdomain", "only")]
         assert np.all(sub_point.lower >= sub_full.lower - 1e-12)
         assert np.all(sub_point.upper <= sub_full.upper + 1e-12)
 
@@ -375,8 +375,9 @@ class TestInfer:
         grid = GridSpec(n_mu=8, n_nu=6)
         rep1 = infer(sys_, grid, mc, ReliabilityQuery((1, 3)), threads=1)
         rep3 = infer(sys_, grid, mc, ReliabilityQuery((1, 3)), threads=3)
-        np.testing.assert_array_equal(rep1.system_envelope.lower, rep3.system_envelope.lower)
-        np.testing.assert_array_equal(rep1.system_envelope.upper, rep3.system_envelope.upper)
+        sys1, sys3 = rep1.envelopes[("system", "system")], rep3.envelopes[("system", "system")]
+        np.testing.assert_array_equal(sys1.lower, sys3.lower)
+        np.testing.assert_array_equal(sys1.upper, sys3.upper)
         for key in rep1.reliability:
             np.testing.assert_array_equal(
                 rep1.reliability[key].expected_lower, rep3.reliability[key].expected_lower

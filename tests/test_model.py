@@ -8,6 +8,7 @@ from hipllm.model import (
     DomainSpec,
     GridSpec,
     McSpec,
+    ReliabilityQuery,
     SubdomainData,
     SystemSpec,
     ValidationError,
@@ -73,6 +74,14 @@ def test_master_seed_beyond_64_bits_rejected(seed):
         validate(make_system(), mc=McSpec(master_seed=seed))
     assert [path for path, _ in exc.value.issues] == ["mc.master_seed"]
     validate(make_system(), mc=McSpec(master_seed=2**64 - 1))
+
+
+@pytest.mark.parametrize("horizon", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+def test_horizon_beyond_float_range_rejected(horizon):
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(), query=ReliabilityQuery((1, horizon)))
+    assert [path for path, _ in exc.value.issues] == ["query.horizons"]
+    validate(make_system(), query=ReliabilityQuery((1, 2**53)))
 
 
 def test_near_one_weights_renormalized():
