@@ -44,6 +44,7 @@ from .model import (
     McSpec,
     ReliabilityQuery,
     SystemSpec,
+    entity_keys,
     validate,
 )
 from .numerics import RngState, beta_cdf, sample_categorical
@@ -75,9 +76,6 @@ PRUNE_MASS = 1e-10
 _STAGE_CONFIGS = 1
 _STAGE_SAMPLES = 2
 _STAGE_PAIRINGS = 3
-
-# Report table order: subdomains domain by domain, then domains, then the system.
-_LEVELS = ("subdomain", "domain", "system")
 
 
 def eval_grid(t_grid_size: int) -> np.ndarray:
@@ -254,7 +252,7 @@ def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.nda
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("expected_reliability requires at least one sample")
-    return np.mean(samples ** np.asarray(horizons)[:, None], axis=1)
+    return np.array([np.mean(samples ** n_f) for n_f in horizons])
 
 
 def _map(fn, n: int, threads: int) -> list:
@@ -329,20 +327,18 @@ def infer(
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
     horizons = tuple(query.horizons)
-    table: Dict[Tuple[str, str], Tuple[CdfEnvelope, ReliabilityCurve]] = {}
 
-    def bands(keys, blocks) -> int:
-        """Add each key's envelope and curve to the table from the members'
-        (CDF rows, reliability rows) blocks, (E, T) and (E, H) for E keys;
-        returns the bytes of the stacked rows."""
-        cdf, rel = (np.array(stack) for stack in zip(*blocks))
-        for e, key in enumerate(keys):
-            table[key] = envelope(cdf[:, e], t), ReliabilityCurve(
-                horizons, rel[:, e].min(axis=0), rel[:, e].max(axis=0)
-            )
-        return cdf.nbytes + rel.nbytes
+    def bands(keys, blocks):
+        """(key, envelope, curve) of each key from its members' (CDF rows,
+        reliability rows) blocks, (E, T) and (E, H) for E keys, and the
+        bytes of the stacked rows."""
+        cdf, rel = (np.array(stack).swapaxes(0, 1) for stack in zip(*blocks))
+        envs = (envelope(rows, t) for rows in cdf)
+        curves = (ReliabilityCurve(horizons, r.min(axis=0), r.max(axis=0)) for r in rel)
+        return list(zip(keys, envs, curves)), cdf.nbytes + rel.nbytes
 
     domain_p: List[List[np.ndarray]] = []
+    subdomains, domains = [], []
     # grid mu, nu and log-measure, plus the log-likelihood of the domain in hand
     retained = 4 * grid.mu.nbytes
 
@@ -357,25 +353,23 @@ def infer(
             return (np.array(cdf), np.array(rel)), draws.p
 
         units = _domain(domain, i, grid, mc, master, threads, unit)
-        label = domain.label or f"domain{i+1}"
-        subs = enumerate(domain.subdomains)
-        keys = [("subdomain", s.label or f"{label}.sub{j+1}") for j, s in subs] + [("domain", label)]
         domain_p.append([p for _, p in units])
-        retained += sum(p.nbytes for p in domain_p[-1])
-        retained += bands(keys, [rows for rows, _ in units])
+        entries, nbytes = bands(entity_keys(domain, i), [rows for rows, _ in units])
+        subdomains += entries[:-1]
+        domains.append(entries[-1])
+        retained += sum(p.nbytes for p in domain_p[-1]) + nbytes
 
     # one member per pairing, with a block of one row each
     system_rows = (
         (empirical_cdf(p, t)[None], expected_reliability(p, horizons)[None])
         for p in _pair(system, domain_p, mc, master)
     )
-    retained += bands([("system", "system")], system_rows)
-
-    order = sorted(table, key=lambda key: _LEVELS.index(key[0]))
+    top, nbytes = bands([("system", "system")], system_rows)
+    table = subdomains + domains + top
     return InferenceReport(
         t=t,
-        envelopes={key: table[key][0] for key in order},
-        reliability={key: table[key][1] for key in order},
+        envelopes={key: env for key, env, _ in table},
+        reliability={key: curve for key, _, curve in table},
         master_seed=mc.master_seed,
-        live_array_bytes=retained,
+        live_array_bytes=retained + nbytes,
     )

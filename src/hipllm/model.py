@@ -9,7 +9,7 @@ invariants and returns normalized copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "ReliabilityQuery",
     "ValidationError",
     "validate",
+    "entity_keys",
     "default_box",
     "default_grid",
     "default_mc",
@@ -159,6 +160,15 @@ class ValidationError(ValueError):
         super().__init__(f"invalid specification: {lines}")
 
 
+def entity_keys(domain: DomainSpec, i: int) -> List[Tuple[str, str]]:
+    """Report keys (level, name) of domain i's subdomains, then of the
+    domain: each label, or `domain<i+1>` and `<domain>.sub<j+1>` where
+    none is set."""
+    name = domain.label or f"domain{i + 1}"
+    subs = [("subdomain", s.label or f"{name}.sub{j + 1}") for j, s in enumerate(domain.subdomains)]
+    return subs + [("domain", name)]
+
+
 def _check_weights(w: Tuple[float, ...], path: str, issues: list) -> Tuple[float, ...]:
     arr = np.asarray(w, dtype=float)
     if np.any(arr < 0.0):
@@ -189,6 +199,7 @@ def validate(
 
     Weight vectors within RENORM_TOL of summing to 1 are renormalized; all
     other violations are collected with a path to the offending field.
+    No two subdomains, and no two domains, may share an `entity_keys` name.
     """
     grid = grid if grid is not None else default_grid()
     mc = mc if mc is not None else default_mc()
@@ -204,8 +215,13 @@ def validate(
         dw = _check_weights(system.domain_weights, "system.domain_weights", issues)
 
     new_domains = []
+    first: Dict[Tuple[str, str], str] = {}  # report key -> path of its entity
     for i, dom in enumerate(system.domains):
         dpath = f"system.domains[{i}]"
+        paths = [f"{dpath}.subdomains[{j}]" for j in range(len(dom.subdomains))] + [dpath]
+        for key, path in zip(entity_keys(dom, i), paths):
+            if first.setdefault(key, path) != path:
+                issues.append((f"{path}.label", f"name {key[1]!r} is taken by {first[key]}"))
         if len(dom.subdomains) < 1:
             issues.append((f"{dpath}.subdomains", "at least one subdomain required"))
         for j, sub in enumerate(dom.subdomains):

@@ -173,6 +173,14 @@ class TestInfer:
         cfg = write_config(tmp_path, doc)
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_repeated_label_exit_code(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"] *= 2
+        doc["hierarchy"]["weights"] = [0.5, 0.5]
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "system.domains[1].subdomains[0].label" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"schema_version": 1})
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

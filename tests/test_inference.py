@@ -400,9 +400,10 @@ class TestInfer:
         # 64 x 64 = 4096 pairings of 2000 draws: holding every p_L array at
         # once would take 4096 * 2000 * 8 bytes = 65.5 MB
         dom = one_subdomain_system(c=30, n=40).domains[0]
-        sys_ = SystemSpec(
-            domains=(dom, dataclasses.replace(dom, label="d2")), domain_weights=(0.5, 0.5)
+        dom2 = dataclasses.replace(
+            dom, label="d2", subdomains=(dataclasses.replace(dom.subdomains[0], label="only2"),)
         )
+        sys_ = SystemSpec(domains=(dom, dom2), domain_weights=(0.5, 0.5))
         mc = McSpec(
             samples_per_config=2000,
             configs_per_domain=64,

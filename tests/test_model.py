@@ -84,6 +84,44 @@ def test_horizon_beyond_float_range_rejected(horizon):
     validate(make_system(), query=ReliabilityQuery((1, 2**53)))
 
 
+def relabel(system, domain_labels, subdomain_labels):
+    domains = tuple(
+        dataclasses.replace(
+            dom,
+            label=dl,
+            subdomains=tuple(dataclasses.replace(s, label=sl) for s, sl in zip(dom.subdomains, sls)),
+        )
+        for dom, dl, sls in zip(system.domains, domain_labels, subdomain_labels)
+    )
+    return dataclasses.replace(system, domains=domains)
+
+
+@pytest.mark.parametrize(
+    "domain_labels,subdomain_labels,path",
+    [
+        (("a", "b"), (("x", "x"), ("y", "z")), "system.domains[0].subdomains[1].label"),
+        (("a", "b"), (("x", "y"), ("z", "x")), "system.domains[1].subdomains[1].label"),
+        (("a", "a"), (("w", "x"), ("y", "z")), "system.domains[1].label"),
+        (("", "domain1"), (("w", "x"), ("y", "z")), "system.domains[1].label"),
+        (("a", "b"), (("", "x"), ("a.sub1", "z")), "system.domains[1].subdomains[0].label"),
+        (("a", "b"), (("a.sub2", ""), ("y", "z")), "system.domains[0].subdomains[1].label"),
+    ],
+    ids=[
+        "subdomain-in-domain", "subdomain-across-domains", "domain", "domain-default",
+        "subdomain-default-first", "subdomain-default-later",
+    ],
+)
+def test_repeated_entity_name_rejected(domain_labels, subdomain_labels, path):
+    with pytest.raises(ValidationError) as exc:
+        validate(relabel(make_system(), domain_labels, subdomain_labels))
+    assert [p for p, _ in exc.value.issues] == [path]
+
+
+def test_names_shared_across_levels_accepted():
+    # keys are (level, name): a domain and a subdomain, or the system, may share a name
+    validate(relabel(make_system(), ("system", "x"), (("x", "y"), ("system", "z"))))
+
+
 def test_near_one_weights_renormalized():
     # decimal rounding within 1e-6 is absorbed, beyond is rejected
     system, *_ = validate(make_system(w=(0.1490001, 0.851)))
