@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -31,13 +30,14 @@ from .config import (
     _parse_box,
     _require_keys,
     config_to_dict,
+    load_json,
     parse_config,
 )
 from .hyperposterior import NumericalError
 from .inference import infer
 from .model import MAX_COUNT, SEED_LIMIT, ReliabilityQuery, ValidationError
 from .numerics import DomainError
-from .report import emit_csv, emit_json, emit_svg
+from .report import emit_csv, emit_json, emit_svg, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,57 +45,38 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _int_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers in [0, 2**53]."""
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-        if all(0 <= v <= MAX_COUNT for v in values):
-            return values
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected comma-separated integers in [0, 2**53], got {text!r}"
-    )
+def _arg(parse, ok, what: str):
+    """argparse type: `parse(text)`, accepted where `ok` holds of it;
+    otherwise an error saying the value expected is `what`."""
 
-
-def _int_range(lo: int, hi: float):
-    """argparse type: an integer in [lo, hi)."""
-
-    def parse(text: str) -> int:
+    def read(text: str):
         try:
-            value = int(text)
-            if lo <= value < hi:
+            value = parse(text)
+            if ok(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer in [{lo}, {hi}), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
-    return parse
-
-
-_seed = _int_range(0, SEED_LIMIT)
+    return read
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite positive number."""
-    try:
-        value = float(text)
-        if 0.0 < value < math.inf:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _interval(text: str) -> tuple[float, float]:
-    """argparse type: `lo,hi` with 0 < lo <= hi, both finite."""
-    try:
-        lo, hi = (float(v) for v in text.split(","))
-        if 0.0 < lo <= hi < math.inf:
-            return lo, hi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive interval lo,hi, got {text!r}")
+def _pair(text: str) -> tuple[float, float]:
+    lo, hi = map(float, text.split(","))
+    return lo, hi
+
+
+_int_list = _arg(_ints, lambda vs: all(0 <= v <= MAX_COUNT for v in vs), "integers in [0, 2**53]")
+_count = _arg(int, lambda v: 0 <= v <= MAX_COUNT, "an integer in [0, 2**53]")
+_seed = _arg(int, lambda v: 0 <= v < SEED_LIMIT, "an integer in [0, 2**64)")
+_threads = _arg(int, lambda v: v >= 1, "a positive integer")
+_positive = _arg(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+_fraction = _arg(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_interval = _arg(_pair, lambda iv: 0.0 < iv[0] <= iv[1] < math.inf, "a positive interval lo,hi")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -125,46 +106,48 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_hyper(args) -> int:
+def _sweep(args, path: str, prefix: str, read) -> int:
+    """Run once per entry of the JSON list in file `path`, on the system
+    `read(entry, entry_path, system)` makes of the config's, into
+    `<out>/<prefix><idx:02d>`."""
     cfg = _load_run_config(args)
-    boxes = json.loads(Path(args.boxes).read_text())
-    if not isinstance(boxes, list) or not boxes:
-        raise ConfigError(f"{args.boxes}: expected a nonempty JSON list of boxes")
-    for idx, box_doc in enumerate(boxes):
-        box = _parse_box(box_doc, f"{args.boxes}[{idx}]")
-        system = replace(
-            cfg.system,
-            domains=tuple(replace(d, box=box) for d in cfg.system.domains),
-        )
-        _run(replace(cfg, system=system), Path(args.out) / f"box{idx:02d}", args.threads)
+    entries = load_json(path)
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"{path}: expected a nonempty JSON list")
+    for idx, entry in enumerate(entries):
+        system = read(entry, f"{path}[{idx}]", cfg.system)
+        _run(replace(cfg, system=system), Path(args.out) / f"{prefix}{idx:02d}", args.threads)
     return EXIT_OK
+
+
+def _boxed(entry, path: str, system):
+    """Every domain under the box `entry`."""
+    box = _parse_box(entry, path)
+    return replace(system, domains=tuple(replace(d, box=box) for d in system.domains))
+
+
+def _reweighted(entry, path: str, system):
+    """The system with the `omegas` and `weights` that `entry` sets."""
+    _require_keys(entry, path, set(), {"omegas", "weights"})
+    if "omegas" in entry:
+        omegas = _list(entry["omegas"], f"{path}.omegas", _numbers)
+        if len(omegas) != len(system.domains):
+            raise ConfigError(f"{path}.omegas: need one vector per domain")
+        system = replace(
+            system,
+            domains=tuple(replace(d, op_weights=om) for d, om in zip(system.domains, omegas)),
+        )
+    if "weights" in entry:
+        system = replace(system, domain_weights=_numbers(entry["weights"], f"{path}.weights"))
+    return system
+
+
+def cmd_sweep_hyper(args) -> int:
+    return _sweep(args, args.boxes, "box", _boxed)
 
 
 def cmd_sweep_op(args) -> int:
-    cfg = _load_run_config(args)
-    entries = json.loads(Path(args.weights).read_text())
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{args.weights}: expected a nonempty JSON list")
-    for idx, entry in enumerate(entries):
-        path = f"{args.weights}[{idx}]"
-        _require_keys(entry, path, set(), {"omegas", "weights"})
-        system = cfg.system
-        if "omegas" in entry:
-            omegas = _list(entry["omegas"], f"{path}.omegas", _numbers)
-            if len(omegas) != len(system.domains):
-                raise ConfigError(f"{path}.omegas: need one vector per domain")
-            system = replace(
-                system,
-                domains=tuple(
-                    replace(d, op_weights=om) for d, om in zip(system.domains, omegas)
-                ),
-            )
-        if "weights" in entry:
-            system = replace(
-                system, domain_weights=_numbers(entry["weights"], f"{path}.weights")
-            )
-        _run(replace(cfg, system=system), Path(args.out) / f"op{idx:02d}", args.threads)
-    return EXIT_OK
+    return _sweep(args, args.weights, "op", _reweighted)
 
 
 def cmd_synth(args) -> int:
@@ -173,8 +156,6 @@ def cmd_synth(args) -> int:
     for name, sizes in regimes.items():
         if len(sizes) != len(gt.theta):
             raise ConfigError(f"--{name}: need {len(gt.theta)} sample sizes, got {len(sizes)}")
-    if not 0.0 <= args.noise < 1.0:
-        raise ConfigError(f"--noise: must lie in [0, 1), got {args.noise}")
     mc = harness.default_mc()
     if args.configs is not None:
         mc = replace(mc, configs_per_domain=args.configs)
@@ -182,42 +163,35 @@ def cmd_synth(args) -> int:
         mc = replace(mc, samples_per_config=args.samples)
     rows = harness.run_rq5(gt, regimes, noise=args.noise, seed=args.seed, mc=mc)
 
+    table = [
+        {
+            "regime": row.regime,
+            "scenario": row.scenario,
+            "method": row.summary.method,
+            "median": list(row.summary.median),
+            "error": list(row.summary.error),
+            "interval_90": list(row.summary.interval_90),
+        }
+        for row in rows
+    ]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "synth_comparison.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "regime", "scenario", "method",
-                "median_lo", "median_hi", "error_lo", "error_hi",
-                "q05", "q95",
-            ]
-        )
-        for row in rows:
-            s = row.summary
-            writer.writerow(
-                [row.regime, row.scenario, s.method]
-                + [f"{v:.9g}" for v in (*s.median, *s.error, *s.interval_90)]
-            )
+    write_csv(
+        out_dir / "synth_comparison.csv",
+        "regime,scenario,method,median_lo,median_hi,error_lo,error_hi,q05,q95".split(","),
+        (
+            [r["regime"], r["scenario"], r["method"]]
+            + [f"{v:.9g}" for k in ("median", "error", "interval_90") for v in r[k]]
+            for r in table
+        ),
+    )
     doc = {
         "seed": args.seed,
         "noise": args.noise,
         "ground_truth": dataclasses.asdict(gt),
         "p_system_gt": gt.p_system,
-        "rows": [
-            {
-                "regime": row.regime,
-                "scenario": row.scenario,
-                "method": row.summary.method,
-                "median": list(row.summary.median),
-                "error": list(row.summary.error),
-                "interval_90": list(row.summary.interval_90),
-            }
-            for row in rows
-        ],
+        "rows": table,
     }
-    (out_dir / "synth_comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(out_dir / "synth_comparison.json", doc)
     return EXIT_OK
 
 
@@ -230,26 +204,19 @@ def cmd_bench(args) -> int:
         [r.value for r in records], [r.seconds for r in records]
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"scaling_{args.param}.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "seconds", "peak_bytes"])
-        for r in records:
-            writer.writerow([r.parameter, f"{r.value:.9g}", f"{r.seconds:.9g}", r.peak_bytes])
-    (out_dir / f"scaling_{args.param}_fit.json").write_text(
-        json.dumps(
-            {"parameter": args.param, "seed": args.seed, "scale": c, "exponent": alpha},
-            indent=2,
-        )
-        + "\n"
+    write_csv(
+        out_dir / f"scaling_{args.param}.csv",
+        ["parameter", "value", "seconds", "peak_bytes"],
+        ([r.parameter, f"{r.value:.9g}", f"{r.seconds:.9g}", r.peak_bytes] for r in records),
     )
+    fit = {"parameter": args.param, "seed": args.seed, "scale": c, "exponent": alpha}
+    write_json(out_dir / f"scaling_{args.param}_fit.json", fit)
     print(f"fitted time = {c:.4g} * {args.param}^{alpha:.3f}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    if not 0 <= args.correct <= args.total:
+    if not args.correct <= args.total:
         raise ConfigError(f"need 0 <= --correct <= --total, got {args.correct}/{args.total}")
     if (args.alpha_range is None) != (args.beta_range is None):
         raise ConfigError("--alpha-range and --beta-range must be given together")
@@ -265,12 +232,9 @@ def cmd_baseline(args) -> int:
     if args.alpha_range is not None:
         lo_hi = bb_mean_envelope(args.correct, args.total, args.alpha_range, args.beta_range)
         doc["mean_envelope"] = list(lo_hi)
-    text = json.dumps(doc, indent=2)
-    print(text)
+    print(json.dumps(doc, indent=2))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "baseline.json").write_text(text + "\n")
+        write_json(Path(args.out) / "baseline.json", doc)
     return EXIT_OK
 
 
@@ -286,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_seed, default=None, help="override master seed")
         p.add_argument(
-            "--threads", type=_int_range(1, math.inf), default=1, help="worker threads (speed only)"
+            "--threads", type=_threads, default=1, help="worker threads (speed only)"
         )
         p.add_argument("--svg", action="store_true", help="also emit SVG bands")
 
@@ -312,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthetic ground-truth comparison tables")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--noise", type=float, default=0.2)
+    p.add_argument("--noise", type=_fraction, default=0.2)
     p.add_argument("--small", type=_int_list, default="100,500,1000,300")
     p.add_argument("--large", type=_int_list, default="1000,5000,10000,3000")
     p.add_argument("--configs", type=int, default=None, help="configs per domain")
@@ -329,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="closed-form Beta-Binomial run")
     p.add_argument("--prior-alpha", type=_positive, default=1.0)
     p.add_argument("--prior-beta", type=_positive, default=1.0)
-    p.add_argument("--correct", type=int, required=True)
-    p.add_argument("--total", type=int, required=True)
+    p.add_argument("--correct", type=_count, required=True)
+    p.add_argument("--total", type=_count, required=True)
     p.add_argument("--horizons", type=_int_list, default="1,10,100")
     p.add_argument("--alpha-range", type=_interval, default=None, help="prior alpha interval lo,hi")
     p.add_argument("--beta-range", type=_interval, default=None, help="prior beta interval lo,hi")
@@ -344,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, DomainError) as exc:

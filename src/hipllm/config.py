@@ -2,7 +2,7 @@
 
 Configs are the experiment record: unknown keys are rejected everywhere so
 a typo can never silently fall back to a default, and the schema carries an
-explicit version field.
+explicit version field.  `load_json` reads every JSON input file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .model import (
     validate,
 )
 
-__all__ = ["ConfigError", "RunConfig", "config_to_dict", "parse_config", "parse_config_dict"]
+__all__ = [
+    "ConfigError", "RunConfig", "config_to_dict", "load_json", "parse_config", "parse_config_dict"
+]
 
 SCHEMA_VERSION = 1
 
@@ -219,13 +221,18 @@ def config_to_dict(cfg: RunConfig) -> Dict[str, Any]:
     }
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Load, parse, and validate a JSON config file."""
+def load_json(path: str | Path) -> Any:
+    """The JSON document in file `path`.  A syntax error becomes a
+    `ConfigError` naming the file, line and column."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_config_dict(doc)
+
+
+def parse_config(path: str | Path) -> RunConfig:
+    """Load, parse, and validate a JSON config file."""
+    return parse_config_dict(load_json(path))

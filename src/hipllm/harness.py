@@ -77,13 +77,13 @@ class GroundTruth:
         return float(np.dot(self.theta, self.op))
 
 
-def default_ground_truth(sample_sizes: Sequence[int] = (100, 500, 1000, 300)) -> GroundTruth:
+def default_ground_truth() -> GroundTruth:
     """Reference configuration for the synthetic study (system reliability
     0.5860 exactly)."""
     return GroundTruth(
         theta=(0.75, 0.65, 0.58, 0.45),
         op=(0.30, 0.10, 0.20, 0.40),
-        sample_sizes=tuple(int(n) for n in sample_sizes),
+        sample_sizes=(100, 500, 1000, 300),
     )
 
 
@@ -211,7 +211,6 @@ def run_rq5(
     seed: int = 0,
     grid: Optional[GridSpec] = None,
     mc: Optional[McSpec] = None,
-    methods: Sequence[str] = ("bb-uninf", "bb-inf", "hip-llm"),
 ) -> List[Rq5Row]:
     """Synthetic comparison of the estimation methods.
 
@@ -225,24 +224,18 @@ def run_rq5(
         regime_gt = replace(gt, sample_sizes=tuple(int(n) for n in sizes))
         counts = generate_counts(regime_gt, derive_substream(seed, (10, r_idx)))
         scenarios = op_scenarios(regime_gt, noise, derive_substream(seed, (20, r_idx)))
+        priors = {  # the closed-form methods; each method's position seeds its samples
+            "bb-uninf": [BetaPosterior(1.0, 1.0)] * len(regime_gt.theta),
+            "bb-inf": [informative_prior(th, INFORMATIVE_KAPPA) for th in regime_gt.theta],
+        }
         for scenario, op_flat in scenarios.items():
             system = build_system(regime_gt, counts, op_flat)
-            for m_idx, method in enumerate(methods):
+            for m_idx, method in enumerate([*priors, "hip-llm"]):
                 m_seed = derive_substream(seed, (30, r_idx, m_idx))
-                if method == "bb-uninf":
-                    priors = [BetaPosterior(1.0, 1.0)] * len(regime_gt.theta)
-                    samples = bb_system_samples(system, priors, BASELINE_SAMPLES, m_seed)
-                elif method == "bb-inf":
-                    priors = [
-                        informative_prior(th, INFORMATIVE_KAPPA) for th in regime_gt.theta
-                    ]
-                    samples = bb_system_samples(system, priors, BASELINE_SAMPLES, m_seed)
-                elif method == "hip-llm":
-                    samples = system_sample_arrays(
-                        system, grid, replace(mc, master_seed=m_seed)
-                    )
+                if method in priors:
+                    samples = bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)
                 else:
-                    raise ValueError(f"unknown method {method!r}")
+                    samples = system_sample_arrays(system, grid, replace(mc, master_seed=m_seed))
                 rows.append(
                     Rq5Row(
                         regime=regime,
@@ -294,7 +287,6 @@ def run_scaling_sweep(
     parameter: str,
     values: Sequence[float],
     seed: int = 0,
-    horizons: Tuple[int, ...] = (1,),
 ) -> List[ScalingRecord]:
     """Time the full engine while sweeping one parameter around the default
     baseline (m=2, n_bar=2, K=160, S=3000, G=2000).
@@ -308,7 +300,7 @@ def run_scaling_sweep(
         raise ValueError("sweep values must be positive and increasing")
     box = default_box()
     base_mc = replace(default_mc(), master_seed=seed)
-    query = ReliabilityQuery(horizons=horizons)
+    query = ReliabilityQuery(horizons=(1,))
     records = []
     for v in values:
         m, n_bar, grid, mc = 2, 2, default_grid(), base_mc

@@ -4,6 +4,7 @@ CSV files carry the envelope and reliability tables with a header comment
 referencing the master seed; JSON mirrors the full report together with the
 resolved configuration; SVG is a minimal static rendering of each envelope
 as a shaded band (no scripts, suitable for quick inspection only).
+`write_csv` and `write_json` write every CSV and JSON file of the CLI.
 """
 
 from __future__ import annotations
@@ -15,40 +16,59 @@ from typing import Any, Dict, Optional
 
 from .inference import InferenceReport
 
-__all__ = ["emit_csv", "emit_json", "emit_svg", "report_to_dict"]
+__all__ = ["emit_csv", "emit_json", "emit_svg", "report_to_dict", "write_csv", "write_json"]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _write_csv(path: Path, master_seed: int, header: str, rows) -> None:
-    """A seed comment line, the header, then the rows, quoted where needed."""
+def _write(path: str | Path, text: str) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def write_csv(path: str | Path, header, rows, comment: Optional[str] = None) -> Path:
+    """An optional `# comment` line, the header, then the rows: fields quoted
+    where needed, every line ending in `\\n`.  Creates the directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        fh.write(f"# master_seed={master_seed}\n{header}\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_json(path: str | Path, doc) -> Path:
+    """`doc` as indented JSON with a final newline.  Creates the directory."""
+    return _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def emit_csv(report: InferenceReport, out_dir: str | Path) -> Dict[str, Path]:
     """Write envelopes.csv and reliability.csv; returns the file paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    env_path = out_dir / "envelopes.csv"
-    rel_path = out_dir / "reliability.csv"
+    seed = f"master_seed={report.master_seed}"
     env_rows = (
         (level, entity, *map(_fmt, row))
         for (level, entity), env in report.envelopes.items()
         for row in zip(env.t, env.lower, env.upper)
     )
-    _write_csv(env_path, report.master_seed, "level,entity,t,lower,upper", env_rows)
     rel_rows = (
         (level, entity, n_f, _fmt(lo), _fmt(hi))
         for (level, entity), curve in report.reliability.items()
         for n_f, lo, hi in zip(curve.horizons, curve.expected_lower, curve.expected_upper)
     )
-    header = "level,entity,n_F,expected_lower,expected_upper"
-    _write_csv(rel_path, report.master_seed, header, rel_rows)
-    return {"envelopes": env_path, "reliability": rel_path}
+    env_header = ("level", "entity", "t", "lower", "upper")
+    rel_header = ("level", "entity", "n_F", "expected_lower", "expected_upper")
+    return {
+        "envelopes": write_csv(out_dir / "envelopes.csv", env_header, env_rows, seed),
+        "reliability": write_csv(out_dir / "reliability.csv", rel_header, rel_rows, seed),
+    }
 
 
 def report_to_dict(
@@ -86,11 +106,7 @@ def emit_json(
     out_dir: str | Path,
     config_echo: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report_to_dict(report, config_echo), indent=2) + "\n")
-    return path
+    return write_json(Path(out_dir) / "report.json", report_to_dict(report, config_echo))
 
 
 _SVG_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2"]
@@ -110,10 +126,6 @@ def _y(f: float) -> float:
 def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
     """One shaded band per reported entity, with axes and a legend."""
     import html  # here, not at the top: it adds about 0.5 MB to runs without SVG
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "envelopes.svg"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -151,5 +163,4 @@ def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
         )
         legend_y += 14
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    return _write(Path(out_dir) / "envelopes.svg", "\n".join(parts) + "\n")

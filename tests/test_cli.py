@@ -285,6 +285,17 @@ class TestSweeps:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, option", [("sweep-hyper", "--boxes"), ("sweep-op", "--weights")]
+    )
+    def test_sweep_file_invalid_json_names_file(self, tmp_path, capsys, command, option):
+        cfg = write_config(tmp_path, DEGENERATE)
+        broken = tmp_path / "broken.json"
+        broken.write_text('[{"a": [1, 1],\n  oops}]')
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), option, str(broken)])
+        assert code == EXIT_CONFIG
+        assert f"{broken}: JSON parse error at line 2, column 3" in capsys.readouterr().err
+
 
 class TestBaselineCommand:
     def test_worked_example_json(self, tmp_path, capsys):
@@ -326,6 +337,7 @@ class TestSynthCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 18
         assert {r["method"] for r in rows} == {"bb-uninf", "bb-inf", "hip-llm"}
+        assert b"\r\n" not in (out / "synth_comparison.csv").read_bytes()
 
 
 class TestBenchCommand:
@@ -345,6 +357,7 @@ class TestBenchCommand:
         with (out / "scaling_K.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["value"]) for r in rows] == [2.0, 4.0, 8.0]
+        assert b"\r\n" not in (out / "scaling_K.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -372,6 +385,8 @@ class TestBenchCommand:
         ["reliability", "--config", "CFG", "--out", "OUT", "--horizons", f"1,{10**400}"],
         ["reliability", "--config", "CFG", "--out", "OUT", "--horizons", f"1,{2**53 + 1}"],
         ["baseline", "--correct", "3", "--total", "10", "--horizons", f"1,{10**400}"],
+        ["baseline", "--correct", "3", "--total", f"{10**400}"],
+        ["baseline", "--correct", "3", "--total", f"{2**60}"],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
@@ -380,7 +395,8 @@ class TestBenchCommand:
         "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",
         "infer-zero-threads", "infer-negative-threads", "infer-negative-seed",
         "infer-seed-beyond-64-bits", "synth-negative-seed", "reliability-horizon-10**400",
-        "reliability-horizon-2**53+1", "baseline-horizon-10**400",
+        "reliability-horizon-2**53+1", "baseline-horizon-10**400", "baseline-total-10**400",
+        "baseline-total-2**60",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):
