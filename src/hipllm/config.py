@@ -222,11 +222,12 @@ def config_to_dict(cfg: RunConfig) -> Dict[str, Any]:
 
 
 def load_json(path: str | Path) -> Any:
-    """The JSON document in file `path`.  A syntax error becomes a
-    `ConfigError` naming the file, line and column."""
-    text = Path(path).read_text()
+    """The JSON document in file `path`.  A syntax error, or bytes that
+    are not UTF-8, become a `ConfigError` naming the file and the place."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

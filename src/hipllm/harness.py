@@ -11,6 +11,7 @@ power laws to the wall-clock measurements.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -162,7 +163,6 @@ class MethodSummary:
     median: Tuple[float, float]
     error: Tuple[float, float]
     interval_90: Tuple[float, float]
-    scalar: bool
 
     @property
     def median_mid(self) -> float:
@@ -193,7 +193,6 @@ def summarize_method(
         (min(meds), max(meds)),
         (min(errs), max(errs)),
         (min(q for q, _, _ in triples), max(q for _, _, q in triples)),
-        scalar=len(triples) == 1,
     )
 
 
@@ -292,7 +291,9 @@ def run_scaling_sweep(
     baseline (m=2, n_bar=2, K=160, S=3000, G=2000).
 
     The timed run is single-threaded so fitted exponents are independent of
-    scheduling.  Peak memory is the engine's own live-array accounting.
+    scheduling.  Peak memory is the tracemalloc peak of a second, untimed
+    run of the same point, because tracing slows every allocation (by 14-18%
+    of CPU time at G=500 and G=4000).
     """
     if parameter not in {"m", "n", "K", "S", "G"}:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -317,15 +318,16 @@ def run_scaling_sweep(
             grid = _grid_for_size(v)
         system = _bench_system(m, n_bar, box)
         start = time.perf_counter()
-        report = infer(system, grid, mc, query, threads=1)
+        infer(system, grid, mc, query, threads=1)
         elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            infer(system, grid, mc, query, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         records.append(
-            ScalingRecord(
-                parameter=parameter,
-                value=float(v),
-                seconds=elapsed,
-                peak_bytes=report.live_array_bytes,
-            )
+            ScalingRecord(parameter=parameter, value=float(v), seconds=elapsed, peak_bytes=peak)
         )
     return records
 

@@ -72,6 +72,9 @@ __all__ = [
 # posterior on a small fraction of the grid.
 PRUNE_MASS = 1e-10
 
+# Cells per quadrature block; bounds the (cells, T) Beta-CDF matrix in flight.
+QUAD_BLOCK = 256
+
 # Substream stage tags (first path element after the master seed).
 _STAGE_CONFIGS = 1
 _STAGE_SAMPLES = 2
@@ -120,7 +123,7 @@ class InferenceReport:
     envelopes: Dict[Tuple[str, str], CdfEnvelope]
     reliability: Dict[Tuple[str, str], ReliabilityCurve]  # same keys, same order
     master_seed: int
-    live_array_bytes: int = 0
+    live_array_bytes: int = 0  # array-size tally, not a measured peak
 
 
 def generate_configs(box: HyperBox, k: int, seed: int) -> List[HyperConfig]:
@@ -151,6 +154,8 @@ def subdomain_marginal_cdf(
     Mixture over grid cells of conditional Beta CDFs
     I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights,
     restricted to the heaviest cells covering 1 - PRUNE_MASS of the mass.
+    The cells are summed in blocks of QUAD_BLOCK, so the result differs
+    from one (cells, T) mat-vec by rounding only.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
@@ -161,8 +166,8 @@ def subdomain_marginal_cdf(
     sub = domain.subdomains[j]
     alpha = sub.correct + post.mu[idx] * post.nu[idx]
     beta = sub.total - sub.correct + (1.0 - post.mu[idx]) * post.nu[idx]
-    member = beta_cdf(t[None, :], alpha[:, None], beta[:, None])
-    return w @ member
+    blocks = (slice(lo, lo + QUAD_BLOCK) for lo in range(0, keep, QUAD_BLOCK))
+    return sum(w[b] @ beta_cdf(t[None, :], alpha[b, None], beta[b, None]) for b in blocks)
 
 
 def sample_domain(

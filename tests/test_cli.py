@@ -387,6 +387,8 @@ class TestBenchCommand:
         ["baseline", "--correct", "3", "--total", "10", "--horizons", f"1,{10**400}"],
         ["baseline", "--correct", "3", "--total", f"{10**400}"],
         ["baseline", "--correct", "3", "--total", f"{2**60}"],
+        ["infer", "--config", "BIN", "--out", "OUT"],
+        ["sweep-hyper", "--config", "CFG", "--out", "OUT", "--boxes", "BIN"],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
@@ -396,12 +398,14 @@ class TestBenchCommand:
         "infer-zero-threads", "infer-negative-threads", "infer-negative-seed",
         "infer-seed-beyond-64-bits", "synth-negative-seed", "reliability-horizon-10**400",
         "reliability-horizon-2**53+1", "baseline-horizon-10**400", "baseline-total-10**400",
-        "baseline-total-2**60",
+        "baseline-total-2**60", "infer-config-not-utf8", "sweep-hyper-boxes-not-utf8",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):
     cfg = write_config(tmp_path, DEGENERATE)
-    argv = [{"CFG": str(cfg), "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe{")
+    argv = [{"CFG": str(cfg), "OUT": str(tmp_path / "o"), "BIN": str(binary)}.get(a, a) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a value before main's handlers

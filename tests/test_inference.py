@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hipllm.hyperposterior import build_grid, hyper_posterior
+import hipllm.inference as inference
+from hipllm.hyperposterior import HyperGrid, build_grid, hyper_posterior
 from hipllm.inference import (
+    QUAD_BLOCK,
     empirical_cdf,
     envelope,
     eval_grid,
@@ -122,6 +124,64 @@ class TestSubdomainMarginalCdf:
         vals = subdomain_marginal_cdf(dom, 0, post, t)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)
+
+    @staticmethod
+    def block_rows(monkeypatch):
+        """Rows of every beta_cdf block the quadrature evaluates, in order."""
+        rows = []
+
+        def spy(t, alpha, beta):
+            rows.append(len(alpha))
+            return beta_cdf(t, alpha, beta)
+
+        monkeypatch.setattr(inference, "beta_cdf", spy)
+        return rows
+
+    @pytest.mark.parametrize(
+        "cells",
+        [QUAD_BLOCK // 2, QUAD_BLOCK, 2 * QUAD_BLOCK, 3 * QUAD_BLOCK + 17],
+        ids=["below-one-block", "one-block", "two-blocks", "several-blocks"],
+    )
+    def test_blocked_sum_matches_single_matvec(self, monkeypatch, cells):
+        # every cell holds far more than PRUNE_MASS, so all of them are kept
+        rng = np.random.default_rng(cells)
+        weights = rng.uniform(0.5, 1.5, cells)
+        post = HyperGrid(
+            mu=rng.uniform(0.05, 0.95, cells),
+            nu=rng.uniform(1.0, 50.0, cells),
+            log_measure=np.zeros(cells),
+            n_mu=cells,
+            n_nu=1,
+            weights=weights / weights.sum(),
+        )
+        dom = one_subdomain_system(30, 50).domains[0]
+        t = eval_grid(201)
+        rows = self.block_rows(monkeypatch)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        full, last = divmod(cells, QUAD_BLOCK)
+        assert rows == [QUAD_BLOCK] * full + ([last] if last else [])
+        alpha = 30 + post.mu * post.nu
+        beta = 20 + (1.0 - post.mu) * post.nu
+        single = post.weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
+        np.testing.assert_allclose(vals, single, rtol=0, atol=1e-14)
+
+    def test_peak_bounded_by_block_not_kept_cells(self, monkeypatch):
+        # two trials leave the posterior close to the diffuse prior, so it
+        # keeps most of the 8000 cells: one (kept, T) matrix would take
+        # about 11 MB, a block 0.4 MB
+        dom = one_subdomain_system(1, 2).domains[0]
+        post = hyper_posterior(dom, HyperConfig(1, 1, 1, 1), build_grid(GridSpec(n_mu=100, n_nu=80)))
+        t = eval_grid(201)
+        rows = self.block_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            subdomain_marginal_cdf(dom, 0, post, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rows) > 20 * QUAD_BLOCK
+        # the block in flight, betainc's temporaries and the per-cell arrays
+        assert peak < 3 * QUAD_BLOCK * t.size * 8
 
 
 class TestSampleDomain:
