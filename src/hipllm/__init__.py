@@ -15,9 +15,9 @@ from .baselines import (
     informative_prior,
 )
 from .inference import (
+    Band,
     CdfEnvelope,
     InferenceReport,
-    ReliabilityCurve,
     empirical_cdf,
     envelope,
     expected_reliability,

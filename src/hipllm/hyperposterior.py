@@ -9,7 +9,7 @@ a midpoint/log-cell product grid and computes those weights in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -147,12 +147,4 @@ def hyper_posterior(
     z = w.sum()
     if z <= 0.0 or not np.isfinite(z):
         raise NumericalError(f"grid weights underflowed (max log-weight {m:.6g})")
-    return HyperGrid(
-        mu=grid.mu,
-        nu=grid.nu,
-        log_measure=grid.log_measure,
-        n_mu=grid.n_mu,
-        n_nu=grid.n_nu,
-        weights=w / z,
-        log_evidence=float(m + np.log(z)),
-    )
+    return replace(grid, weights=w / z, log_evidence=float(m + np.log(z)))

@@ -4,16 +4,16 @@ Each domain draws K hyperparameter configurations from its admissible box.
 One work unit per (domain, config) computes the config's grid
 hyper-posterior over (mu, nu) and its Monte Carlo draws of the subdomain
 accuracies and the domain aggregate p, and reduces them where they are
-made: `infer` to one block of CDF rows (each subdomain's quadrature CDF,
-then the domain's empirical CDF) and one block of expected-reliability
-rows (one row of every horizon per sample array).  Only p outlives the
-unit; capped cross-domain config pairings combine it into the system
-aggregate p_L, one pairing at a time, which `infer` reduces to its rows in
-turn and `system_sample_arrays` returns.
+made: `infer` to one row per entity (each subdomain, then the domain):
+its CDF on the evaluation grid (quadrature for a subdomain, empirical for
+the domain), then its expected reliability at every horizon.  Only p
+outlives the unit; capped cross-domain config pairings combine it into the
+system aggregate p_L, one pairing at a time, which `infer` reduces to one
+such row in turn and `system_sample_arrays` returns.
 
 The report is one table keyed (level, entity name): every subdomain,
-domain and the system has a CDF envelope and an expected-reliability
-curve, each the pointwise min-max over its members' rows.
+domain and the system has one band, the pointwise min-max of its members'
+rows, and the grid t and the horizons are stored once.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -52,7 +52,7 @@ from .numerics import RngState, beta_cdf, sample_categorical
 __all__ = [
     "eval_grid",
     "CdfEnvelope",
-    "ReliabilityCurve",
+    "Band",
     "SampleSet",
     "InferenceReport",
     "generate_configs",
@@ -98,10 +98,12 @@ class CdfEnvelope:
 
 
 @dataclass
-class ReliabilityCurve:
-    """Envelope of expected future reliability per horizon."""
+class Band:
+    """One entity's CDF bounds on the report's t and its expected-reliability
+    bounds at the report's horizons."""
 
-    horizons: Tuple[int, ...]
+    lower: np.ndarray
+    upper: np.ndarray
     expected_lower: np.ndarray
     expected_upper: np.ndarray
 
@@ -116,12 +118,12 @@ class SampleSet:
 
 @dataclass
 class InferenceReport:
-    """Keyed (level, entity name): subdomains domain by domain, then
+    """One band per (level, entity name): subdomains domain by domain, then
     domains, then ("system", "system")."""
 
     t: np.ndarray
-    envelopes: Dict[Tuple[str, str], CdfEnvelope]
-    reliability: Dict[Tuple[str, str], ReliabilityCurve]  # same keys, same order
+    horizons: Tuple[int, ...]
+    bands: Dict[Tuple[str, str], Band]
     master_seed: int
     live_array_bytes: int = 0  # array-size tally, not a measured peak
 
@@ -334,13 +336,16 @@ def infer(
     horizons = tuple(query.horizons)
 
     def bands(keys, blocks):
-        """(key, envelope, curve) of each key from its members' (CDF rows,
-        reliability rows) blocks, (E, T) and (E, H) for E keys, and the
-        bytes of the stacked rows."""
-        cdf, rel = (np.array(stack).swapaxes(0, 1) for stack in zip(*blocks))
-        envs = (envelope(rows, t) for rows in cdf)
-        curves = (ReliabilityCurve(horizons, r.min(axis=0), r.max(axis=0)) for r in rel)
-        return list(zip(keys, envs, curves)), cdf.nbytes + rel.nbytes
+        """(key, band) of each key from its members' (E, T + H) blocks of
+        CDF rows then reliability rows, for E keys, and the bytes of the
+        stacked rows."""
+        stack = np.array(list(blocks))
+        lower, upper = stack.min(axis=0), stack.max(axis=0)
+        n = t.size
+        return [
+            (key, Band(lo[:n], hi[:n], lo[n:], hi[n:]))
+            for key, lo, hi in zip(keys, lower, upper)
+        ], stack.nbytes
 
     domain_p: List[List[np.ndarray]] = []
     subdomains, domains = [], []
@@ -350,12 +355,12 @@ def infer(
     for i, domain in enumerate(system.domains):
 
         def unit(post, draws):
-            """This config's CDF rows and reliability rows, each subdomain's
-            then the domain's, and its domain draws p."""
+            """This config's rows, each subdomain's then the domain's: CDF,
+            then expected reliability; and its domain draws p."""
             cdf = [subdomain_marginal_cdf(domain, j, post, t) for j in range(draws.theta.shape[1])]
             cdf.append(empirical_cdf(draws.p, t))
             rel = [expected_reliability(x, horizons) for x in (*draws.theta.T, draws.p)]
-            return (np.array(cdf), np.array(rel)), draws.p
+            return np.hstack([cdf, rel]), draws.p
 
         units = _domain(domain, i, grid, mc, master, threads, unit)
         domain_p.append([p for _, p in units])
@@ -366,15 +371,14 @@ def infer(
 
     # one member per pairing, with a block of one row each
     system_rows = (
-        (empirical_cdf(p, t)[None], expected_reliability(p, horizons)[None])
+        np.hstack([empirical_cdf(p, t), expected_reliability(p, horizons)])[None]
         for p in _pair(system, domain_p, mc, master)
     )
     top, nbytes = bands([("system", "system")], system_rows)
-    table = subdomains + domains + top
     return InferenceReport(
         t=t,
-        envelopes={key: env for key, env, _ in table},
-        reliability={key: curve for key, _, curve in table},
+        horizons=horizons,
+        bands=dict(subdomains + domains + top),
         master_seed=mc.master_seed,
         live_array_bytes=retained + nbytes,
     )

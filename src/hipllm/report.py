@@ -26,7 +26,7 @@ def _fmt(x: float) -> str:
 def _write(path: str | Path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -35,7 +35,7 @@ def write_csv(path: str | Path, header, rows, comment: Optional[str] = None) -> 
     where needed, every line ending in `\\n`.  Creates the directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -55,13 +55,13 @@ def emit_csv(report: InferenceReport, out_dir: str | Path) -> Dict[str, Path]:
     seed = f"master_seed={report.master_seed}"
     env_rows = (
         (level, entity, *map(_fmt, row))
-        for (level, entity), env in report.envelopes.items()
-        for row in zip(env.t, env.lower, env.upper)
+        for (level, entity), band in report.bands.items()
+        for row in zip(report.t, band.lower, band.upper)
     )
     rel_rows = (
         (level, entity, n_f, _fmt(lo), _fmt(hi))
-        for (level, entity), curve in report.reliability.items()
-        for n_f, lo, hi in zip(curve.horizons, curve.expected_lower, curve.expected_upper)
+        for (level, entity), band in report.bands.items()
+        for n_f, lo, hi in zip(report.horizons, band.expected_lower, band.expected_upper)
     )
     env_header = ("level", "entity", "t", "lower", "upper")
     rel_header = ("level", "entity", "n_F", "expected_lower", "expected_upper")
@@ -83,20 +83,20 @@ def report_to_dict(
             {
                 "level": level,
                 "entity": entity,
-                "lower": [float(v) for v in env.lower],
-                "upper": [float(v) for v in env.upper],
+                "lower": [float(v) for v in band.lower],
+                "upper": [float(v) for v in band.upper],
             }
-            for (level, entity), env in report.envelopes.items()
+            for (level, entity), band in report.bands.items()
         ],
         "reliability": [
             {
                 "level": level,
                 "entity": entity,
-                "horizons": list(curve.horizons),
-                "expected_lower": [float(v) for v in curve.expected_lower],
-                "expected_upper": [float(v) for v in curve.expected_upper],
+                "horizons": list(report.horizons),
+                "expected_lower": [float(v) for v in band.expected_lower],
+                "expected_upper": [float(v) for v in band.expected_upper],
             }
-            for (level, entity), curve in report.reliability.items()
+            for (level, entity), band in report.bands.items()
         ],
     }
 
@@ -149,10 +149,10 @@ def emit_svg(report: InferenceReport, out_dir: str | Path) -> Path:
         )
 
     legend_y = _MT + 6
-    for idx, ((level, entity), env) in enumerate(report.envelopes.items()):
+    for idx, ((level, entity), band) in enumerate(report.bands.items()):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        fwd = [f"{_x(t):.2f},{_y(u):.2f}" for t, u in zip(env.t, env.upper)]
-        back = [f"{_x(t):.2f},{_y(l):.2f}" for t, l in zip(env.t[::-1], env.lower[::-1])]
+        fwd = [f"{_x(t):.2f},{_y(u):.2f}" for t, u in zip(report.t, band.upper)]
+        back = [f"{_x(t):.2f},{_y(l):.2f}" for t, l in zip(report.t[::-1], band.lower[::-1])]
         parts.append(
             f'<polygon points="{" ".join(fwd + back)}" fill="{color}" '
             f'fill-opacity="0.25" stroke="{color}" stroke-width="1"/>'

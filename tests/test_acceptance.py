@@ -212,7 +212,7 @@ def test_criterion_6_benchmark_system_reliability():
     cfg = parse_config(CONFIG_PATH)
     query = ReliabilityQuery(horizons=tuple(range(1, 101)))
     report = infer(cfg.system, cfg.grid, cfg.mc, query, threads=2)
-    curve = report.reliability[("system", "system")]
+    curve = report.bands[("system", "system")]
     lo1, hi1 = curve.expected_lower[0], curve.expected_upper[0]
     monotone = bool(
         np.all(np.diff(curve.expected_lower) < 0)
@@ -304,7 +304,7 @@ def test_criterion_9_structural_properties():
     report = infer(cfg.system, grid, mc, threads=1)
 
     issues = []
-    for (level, entity), env in report.envelopes.items():
+    for (level, entity), env in report.bands.items():
         for name, curve in (("lower", env.lower), ("upper", env.upper)):
             if np.any(np.diff(curve) < -1e-12):
                 issues.append(f"{level}/{entity} {name} not nondecreasing")
@@ -341,15 +341,15 @@ def test_criterion_9_structural_properties():
     # thread count must not change a single bit of the result
     threaded = infer(cfg.system, grid, mc, threads=4)
     for ((l1, e1), env1), ((l2, e2), env2) in zip(
-        report.envelopes.items(), threaded.envelopes.items()
+        report.bands.items(), threaded.bands.items()
     ):
         if not (
             np.array_equal(env1.lower, env2.lower)
             and np.array_equal(env1.upper, env2.upper)
         ):
             issues.append(f"{l1}/{e1} differs across thread counts")
-    for key, curve in report.reliability.items():
-        other = threaded.reliability[key]
+    for key, curve in report.bands.items():
+        other = threaded.bands[key]
         if not (
             np.array_equal(curve.expected_lower, other.expected_lower)
             and np.array_equal(curve.expected_upper, other.expected_upper)

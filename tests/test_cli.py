@@ -3,12 +3,16 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hipllm
 import hipllm.harness as harness
 from hipllm.cli import EXIT_CONFIG, EXIT_OK, main
 from hipllm.config import parse_config_dict
@@ -115,6 +119,56 @@ class TestInfer:
                 rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
             assert all(len(row) == 5 for row in rows)
             assert sum(row[:2] == ["subdomain", "code, python"] for row in rows) == rows_per_entity
+
+    def test_outputs_ignore_locale(self, tmp_path):
+        label = "数学 – Ü"
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["subdomains"][0]["label"] = label
+        cfg, out = tmp_path / "config.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": str(Path(hipllm.__file__).resolve().parents[1]),
+        }
+        argv = ["infer", "--config", str(cfg), "--out", str(out), "--svg"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hipllm.cli", *argv], env=env, capture_output=True
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+        for name in ("envelopes.csv", "reliability.csv", "envelopes.svg"):
+            assert label in (out / name).read_text(encoding="utf-8")
+
+    def test_entity_order_same_in_every_output(self, tmp_path):
+        doc = json.loads(json.dumps(DEGENERATE))
+        dom = doc["hierarchy"]["domains"][0]
+        dom["subdomains"] = [{"correct": 7, "total": 10}, {"correct": 3, "total": 9}]
+        dom["omega"] = [0.5, 0.5]
+        second = {**dom, "subdomains": [{"correct": 5, "total": 8}], "omega": [1.0]}
+        doc["hierarchy"] = {"domains": [dom, second], "weights": [0.5, 0.5]}
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+        expected = [
+            ("subdomain", "domain1.sub1"),
+            ("subdomain", "domain1.sub2"),
+            ("subdomain", "domain2.sub1"),
+            ("domain", "domain1"),
+            ("domain", "domain2"),
+            ("system", "system"),
+        ]
+        for name in ("envelopes.csv", "reliability.csv"):
+            with (out / name).open(newline="") as fh:
+                rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+                next(rows)
+                assert list(dict.fromkeys(tuple(row[:2]) for row in rows)) == expected
+        report = json.loads((out / "report.json").read_text())
+        for field in ("envelopes", "reliability"):
+            assert [(e["level"], e["entity"]) for e in report[field]] == expected
+        root = ET.parse(out / "envelopes.svg").getroot()
+        legend = [el.text for el in root.iter() if el.tag.endswith("text") and ":" in el.text]
+        assert legend == [f"{level}:{entity}" for level, entity in expected]
 
     def test_report_json_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, DEGENERATE)

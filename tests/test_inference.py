@@ -387,15 +387,15 @@ class TestInfer:
         rep = self.degenerate_report()
         t = rep.t
         exact = beta_cdf(t, 4.0, 8.0)
-        sub = rep.envelopes[("subdomain", "only")]
+        sub = rep.bands[("subdomain", "only")]
         np.testing.assert_allclose(sub.lower, exact, atol=1e-9)
         np.testing.assert_allclose(sub.upper, exact, atol=1e-9)
         # sampled domain/system envelopes collapse to the same CDF up to MC noise
-        assert np.max(np.abs(rep.envelopes[("system", "system")].lower - exact)) < 0.06
+        assert np.max(np.abs(rep.bands[("system", "system")].lower - exact)) < 0.06
 
     def test_every_cdf_monotone_ending_at_one(self):
         rep = self.degenerate_report()
-        for env in rep.envelopes.values():
+        for env in rep.bands.values():
             for curve in (env.lower, env.upper):
                 assert np.all(np.diff(curve) >= -1e-12)
                 assert curve[-1] == pytest.approx(1.0, abs=1e-12)
@@ -415,8 +415,8 @@ class TestInfer:
             mc,
             ReliabilityQuery((1,)),
         )
-        sub_full = rep_full.envelopes[("subdomain", "only")]
-        sub_point = rep_point.envelopes[("subdomain", "only")]
+        sub_full = rep_full.bands[("subdomain", "only")]
+        sub_point = rep_point.bands[("subdomain", "only")]
         assert np.all(sub_point.lower >= sub_full.lower - 1e-12)
         assert np.all(sub_point.upper <= sub_full.upper + 1e-12)
 
@@ -435,12 +435,12 @@ class TestInfer:
         grid = GridSpec(n_mu=8, n_nu=6)
         rep1 = infer(sys_, grid, mc, ReliabilityQuery((1, 3)), threads=1)
         rep3 = infer(sys_, grid, mc, ReliabilityQuery((1, 3)), threads=3)
-        sys1, sys3 = rep1.envelopes[("system", "system")], rep3.envelopes[("system", "system")]
+        sys1, sys3 = rep1.bands[("system", "system")], rep3.bands[("system", "system")]
         np.testing.assert_array_equal(sys1.lower, sys3.lower)
         np.testing.assert_array_equal(sys1.upper, sys3.upper)
-        for key in rep1.reliability:
+        for key in rep1.bands:
             np.testing.assert_array_equal(
-                rep1.reliability[key].expected_lower, rep3.reliability[key].expected_lower
+                rep1.bands[key].expected_lower, rep3.bands[key].expected_lower
             )
 
     def test_system_sample_arrays_matches_infer_seeds(self):
@@ -452,7 +452,7 @@ class TestInfer:
         # both entry points share the sample stage: E[R(1)] bounds are the
         # exact min/max of the per-config sample means
         means = [a.mean() for a in arrays]
-        curve = rep.reliability[("system", "system")]
+        curve = rep.bands[("system", "system")]
         assert curve.expected_lower[0] == min(means)
         assert curve.expected_upper[0] == max(means)
 
