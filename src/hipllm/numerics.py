@@ -43,14 +43,15 @@ def ln_beta(x: float, y: float) -> float:
 def beta_cdf(t, alpha, beta):
     """Regularized incomplete beta function I_t(alpha, beta).
 
-    Accepts scalars or arrays; t must lie in [0, 1] and alpha, beta > 0.
+    Accepts scalars or arrays; t must lie in [0, 1] and alpha, beta must be
+    finite and > 0.
     """
     ta = np.asarray(t, dtype=float)
     aa, ba = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if np.any(ta < 0.0) or np.any(ta > 1.0) or not np.all(np.isfinite(ta)):
+    if not np.all((0.0 <= ta) & (ta <= 1.0)):
         raise DomainError("beta_cdf requires t in [0, 1]")
-    if np.any(aa <= 0.0) or np.any(ba <= 0.0):
-        raise DomainError("beta_cdf requires alpha, beta > 0")
+    if not (np.all((0.0 < aa) & (aa < np.inf)) and np.all((0.0 < ba) & (ba < np.inf))):
+        raise DomainError("beta_cdf requires finite alpha, beta > 0")
     return sp.betainc(alpha, beta, t)
 
 

@@ -14,6 +14,7 @@ import hipllm.inference as inference
 from hipllm.hyperposterior import HyperGrid, build_grid, hyper_posterior
 from hipllm.inference import (
     QUAD_BLOCK,
+    QUAD_EPS,
     empirical_cdf,
     envelope,
     eval_grid,
@@ -38,6 +39,18 @@ from hipllm.model import (
     default_box,
 )
 from hipllm.numerics import RngState, beta_cdf
+
+
+def dense_shapes(post, correct, total):
+    """Conditional Beta shapes of every grid cell."""
+    return correct + post.mu * post.nu, total - correct + (1.0 - post.mu) * post.nu
+
+
+def dense_cdf(post, correct, total, t):
+    """The quadrature mixture as one full (cells, T) mat-vec."""
+    alpha, beta = dense_shapes(post, correct, total)
+    return post.weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
+
 
 # single-node grid whose unique cell sits at (mu=0.5, nu=2)
 POINT_GRID = GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0)
@@ -158,12 +171,67 @@ class TestSubdomainMarginalCdf:
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
         vals = subdomain_marginal_cdf(dom, 0, post, t)
-        full, last = divmod(cells, QUAD_BLOCK)
-        assert rows == [QUAD_BLOCK] * full + ([last] if last else [])
-        alpha = 30 + post.mu * post.nu
-        beta = 20 + (1.0 - post.mu) * post.nu
-        single = post.weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
-        np.testing.assert_allclose(vals, single, rtol=0, atol=1e-14)
+        assert rows and max(rows) <= QUAD_BLOCK * t.size // 8
+        np.testing.assert_allclose(vals, dense_cdf(post, 30, 50, t), rtol=0, atol=1e-14)
+
+    @staticmethod
+    def spread_grid(mu, nu):
+        """Evenly weighted cells at the given (mu, nu): all of them are kept."""
+        mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+        return HyperGrid(
+            mu=mu,
+            nu=nu,
+            log_measure=np.zeros(mu.size),
+            n_mu=mu.size,
+            n_nu=1,
+            weights=np.full(mu.size, 1.0 / mu.size),
+        )
+
+    def test_window_covers_unit_interval_without_data(self, monkeypatch):
+        # no data and nu near the default grid's nu_min: h is far above 1,
+        # so every cell is evaluated at every t
+        nu_min = GridSpec().nu_min
+        post = self.spread_grid(np.linspace(0.02, 0.98, 40), nu_min * np.linspace(1.0, 3.0, 40))
+        dom = one_subdomain_system(0, 0).domains[0]
+        t = eval_grid(201)
+        rows = self.block_rows(monkeypatch)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        assert sum(rows) == post.mu.size * t.size
+        np.testing.assert_allclose(vals, dense_cdf(post, 0, 0, t), rtol=0, atol=QUAD_EPS + 1e-14)
+
+    @pytest.mark.parametrize("correct", [0, 5000], ids=["all-wrong", "all-right"])
+    def test_window_at_extreme_means(self, monkeypatch, correct):
+        # C = 0 or C = N at N = 5000 puts every mean within 0.01 of 0 or 1
+        post = self.spread_grid(np.linspace(0.01, 0.99, 50), np.geomspace(1e-5, 150.0, 50))
+        dom = one_subdomain_system(correct, 5000).domains[0]
+        t = eval_grid(201)
+        rows = self.block_rows(monkeypatch)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        assert sum(rows) < post.mu.size * t.size // 4
+        np.testing.assert_allclose(vals, dense_cdf(post, correct, 5000, t), rtol=0, atol=QUAD_EPS + 1e-14)
+
+    def test_t_on_window_edges(self, monkeypatch):
+        # grid points placed exactly on each cell's mean -/+ h
+        post = self.spread_grid([0.3, 0.5, 0.8], [5.0, 40.0, 120.0])
+        dom = one_subdomain_system(700, 1000).domains[0]
+        alpha, beta = dense_shapes(post, 700, 1000)
+        h = np.sqrt(math.log(1.0 / QUAD_EPS) / (2.0 * (alpha + beta + 1.0)))
+        mean = alpha / (alpha + beta)
+        edges = np.concatenate([mean - h, mean + h])
+        t = np.unique(np.concatenate([eval_grid(101), edges]))
+        assert np.all(np.isin(edges, t))
+        rows = self.block_rows(monkeypatch)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        assert sum(rows) < post.mu.size * t.size
+        np.testing.assert_allclose(vals, dense_cdf(post, 700, 1000, t), rtol=0, atol=QUAD_EPS + 1e-14)
+
+    def test_unsorted_t_rejected(self):
+        dom = one_subdomain_system().domains[0]
+        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), build_grid(POINT_GRID))
+        with pytest.raises(ValueError):
+            subdomain_marginal_cdf(dom, 0, post, np.array([0.5, 0.2]))
+        with pytest.raises(ValueError):
+            subdomain_marginal_cdf(dom, 0, post, np.array([0.5, 1.5]))
 
     def test_peak_bounded_by_block_not_kept_cells(self, monkeypatch):
         # two trials leave the posterior close to the diffuse prior, so it

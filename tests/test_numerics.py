@@ -123,6 +123,16 @@ class TestBetaCdf:
         with pytest.raises(DomainError):
             beta_cdf(0.5, -1, 2)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan), (2.0, math.inf)]
+    )
+    def test_non_finite_shapes_rejected(self, alpha, beta):
+        # ln_beta refuses these too; betainc alone returns nan or 0.0
+        with pytest.raises(DomainError):
+            beta_cdf(0.5, alpha, beta)
+        with pytest.raises(DomainError):
+            beta_cdf(np.array([0.2, 0.5]), np.array([1.0, alpha]), np.array([1.0, beta]))
+
 
 class TestSampling:
     def test_categorical_point_mass(self):
