@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -156,6 +157,10 @@ def cmd_synth(args) -> int:
     for name, sizes in regimes.items():
         if len(sizes) != len(gt.theta):
             raise ConfigError(f"--{name}: need {len(gt.theta)} sample sizes, got {len(sizes)}")
+        # the "data" weight scenario splits the system by each domain's trials
+        ends = itertools.accumulate(gt.domain_sizes)
+        if any(sum(sizes[e - n : e]) == 0 for n, e in zip(gt.domain_sizes, ends)):
+            raise ConfigError(f"--{name}: every domain needs a positive total sample size")
     mc = harness.default_mc()
     if args.configs is not None:
         mc = replace(mc, configs_per_domain=args.configs)

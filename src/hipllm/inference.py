@@ -67,20 +67,14 @@ __all__ = [
     "system_sample_arrays",
 ]
 
-# Grid cells whose combined posterior mass is below this are skipped when
-# evaluating quadrature mixtures; counts in the thousands concentrate the
-# posterior on a small fraction of the grid.  Each kept cell is then
-# evaluated only inside its QUAD_EPS window.
-PRUNE_MASS = 1e-10
-
 # Sizes the quadrature's blocks: a block holds at most QUAD_BLOCK * T // 8
 # in-window Beta-CDF evaluations, so its eight or so flat per-evaluation
 # arrays take about the bytes of one (QUAD_BLOCK, T) matrix.
 QUAD_BLOCK = 256
 
-# Tail mass a cell's Beta CDF may drop outside its window: below it the CDF
-# is taken as 0, above it as 1, each within QUAD_EPS.
-QUAD_EPS = 1e-15
+# Bound on the quadrature's error against the full grid mixture: each of
+# the G cells may drop QUAD_EPS / G of it outside its window.
+QUAD_EPS = 1e-12
 
 # Substream stage tags (first path element after the master seed).
 _STAGE_CONFIGS = 1
@@ -161,40 +155,40 @@ def subdomain_marginal_cdf(
     """Deterministic quadrature CDF of one subdomain accuracy on the
     ascending grid t in [0, 1].
 
-    Mixture over grid cells of conditional Beta CDFs
-    I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights,
-    restricted to the heaviest cells covering 1 - PRUNE_MASS of the mass.
+    Mixture over the G grid cells of conditional Beta CDFs
+    I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights w.
 
     Beta(alpha, beta) is sub-Gaussian with variance proxy
     1/(4(alpha + beta + 1)) (Marchal & Arbel 2017), so its CDF is at most
-    QUAD_EPS below mean - h and at least 1 - QUAD_EPS above mean + h, where
-    h = sqrt(ln(1/QUAD_EPS) / (2(alpha + beta + 1))).  Each cell's CDF is
-    evaluated only at the t inside that window and taken as 0 below it and 1
-    above it.  The weights sum to 1, so the result differs from the full
-    (cells, T) mat-vec by at most QUAD_EPS = 1e-15 plus rounding.
+    eps below mean - h and at least 1 - eps from mean + h on, where
+    h = sqrt(ln(1/eps) / (2(alpha + beta + 1))).  Each cell gets the tail
+    budget eps = QUAD_EPS / (G w), is evaluated only at the t inside its
+    window [mean - h, mean + h) and is taken as 0 below it and 1 above it.
+    A cell with G w <= QUAD_EPS gets h = 0: a step at its mean, with no
+    evaluation.  Either way a cell errs by at most w * min(1, eps) <=
+    QUAD_EPS / G, so the result differs from the full (cells, T) mat-vec by
+    at most QUAD_EPS = 1e-12 plus rounding.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
     t = np.asarray(t, dtype=float)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
         raise ValueError("quadrature t must ascend within [0, 1]")
-    order = np.argsort(post.weights)[::-1]
-    keep = int(np.searchsorted(np.cumsum(post.weights[order]), 1.0 - PRUNE_MASS) + 1)
-    idx = order[:keep]
-    w = post.weights[idx] / post.weights[idx].sum()
+    w = post.weights
     sub = domain.subdomains[j]
-    alpha = sub.correct + post.mu[idx] * post.nu[idx]
-    beta = sub.total - sub.correct + (1.0 - post.mu[idx]) * post.nu[idx]
-    # each cell's window [lo, hi) of t indices: its mean -/+ h
-    h = np.sqrt(math.log(1.0 / QUAD_EPS) / (2.0 * (alpha + beta + 1.0)))
-    lo = np.searchsorted(t, alpha / (alpha + beta) - h, side="left")
-    hi = np.searchsorted(t, alpha / (alpha + beta) + h, side="right")
+    alpha = sub.correct + post.mu * post.nu
+    beta = sub.total - sub.correct + (1.0 - post.mu) * post.nu
+    # each cell's window [lo, hi) of t indices: its mean -/+ h for the tail
+    # budget QUAD_EPS / (G w), empty where G w <= QUAD_EPS
+    h = np.sqrt(np.log(np.maximum(w.size * w / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
+    mean = alpha / (alpha + beta)
+    lo, hi = np.searchsorted(t, [mean - h, mean + h])
     # a cell adds its whole weight at every t past its window
     cdf = np.cumsum(np.bincount(hi, weights=w, minlength=t.size + 1)[: t.size])
     # flat evaluation e of cell c sits at t index e - shift[c]
     ends = np.cumsum(hi - lo)
     shift = ends - hi
-    del h, lo, hi  # freed before the blocks: keeps the measured peak down
+    del h, mean, lo, hi  # freed before the blocks: keeps the measured peak down
     evals, budget = int(ends[-1]), QUAD_BLOCK * t.size // 8
     for first in range(0, evals, budget):
         e = np.arange(first, min(first + budget, evals))

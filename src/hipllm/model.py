@@ -171,8 +171,8 @@ def entity_keys(domain: DomainSpec, i: int) -> List[Tuple[str, str]]:
 
 def _check_weights(w: Tuple[float, ...], path: str, issues: list) -> Tuple[float, ...]:
     arr = np.asarray(w, dtype=float)
-    if np.any(arr < 0.0):
-        issues.append((path, "weights must be nonnegative"))
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        issues.append((path, "weights must be finite and nonnegative"))
         return w
     s = arr.sum()
     if abs(s - 1.0) > RENORM_TOL:

@@ -421,6 +421,8 @@ class TestBenchCommand:
         ["bench", "--param", "G", "--values", "0", "--out", "OUT"],
         ["bench", "--param", "G", "--values", "500,1000", "--out", "OUT"],
         ["synth", "--out", "OUT", "--small", "1,2"],
+        ["synth", "--out", "OUT", "--small", "0,0,0,5"],
+        ["synth", "--out", "OUT", "--small", "0,0,0,0"],
         ["synth", "--out", "OUT", "--noise", "1.5"],
         ["synth", "--out", "OUT", "--configs", "0"],
         ["baseline", "--correct", "11", "--total", "10"],
@@ -446,6 +448,7 @@ class TestBenchCommand:
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
+        "synth-empty-domain", "synth-all-empty",
         "synth-noise", "synth-zero-configs", "baseline-counts", "baseline-horizons",
         "baseline-negative-horizon", "baseline-alpha-range", "baseline-reversed-range",
         "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",

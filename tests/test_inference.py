@@ -156,7 +156,7 @@ class TestSubdomainMarginalCdf:
         ids=["below-one-block", "one-block", "two-blocks", "several-blocks"],
     )
     def test_blocked_sum_matches_single_matvec(self, monkeypatch, cells):
-        # every cell holds far more than PRUNE_MASS, so all of them are kept
+        # every cell weighs about 1/G, so each is evaluated inside its window
         rng = np.random.default_rng(cells)
         weights = rng.uniform(0.5, 1.5, cells)
         post = HyperGrid(
@@ -176,7 +176,8 @@ class TestSubdomainMarginalCdf:
 
     @staticmethod
     def spread_grid(mu, nu):
-        """Evenly weighted cells at the given (mu, nu): all of them are kept."""
+        """Evenly weighted cells at the given (mu, nu): G w = 1, so each
+        cell's window is mean -/+ sqrt(ln(1/QUAD_EPS) / (2(alpha + beta + 1)))."""
         mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
         return HyperGrid(
             mu=mu,
@@ -197,7 +198,7 @@ class TestSubdomainMarginalCdf:
         rows = self.block_rows(monkeypatch)
         vals = subdomain_marginal_cdf(dom, 0, post, t)
         assert sum(rows) == post.mu.size * t.size
-        np.testing.assert_allclose(vals, dense_cdf(post, 0, 0, t), rtol=0, atol=QUAD_EPS + 1e-14)
+        np.testing.assert_allclose(vals, dense_cdf(post, 0, 0, t), rtol=0, atol=1e-15 + 1e-14)
 
     @pytest.mark.parametrize("correct", [0, 5000], ids=["all-wrong", "all-right"])
     def test_window_at_extreme_means(self, monkeypatch, correct):
@@ -208,7 +209,7 @@ class TestSubdomainMarginalCdf:
         rows = self.block_rows(monkeypatch)
         vals = subdomain_marginal_cdf(dom, 0, post, t)
         assert sum(rows) < post.mu.size * t.size // 4
-        np.testing.assert_allclose(vals, dense_cdf(post, correct, 5000, t), rtol=0, atol=QUAD_EPS + 1e-14)
+        np.testing.assert_allclose(vals, dense_cdf(post, correct, 5000, t), rtol=0, atol=1e-15 + 1e-14)
 
     def test_t_on_window_edges(self, monkeypatch):
         # grid points placed exactly on each cell's mean -/+ h
@@ -223,7 +224,38 @@ class TestSubdomainMarginalCdf:
         rows = self.block_rows(monkeypatch)
         vals = subdomain_marginal_cdf(dom, 0, post, t)
         assert sum(rows) < post.mu.size * t.size
-        np.testing.assert_allclose(vals, dense_cdf(post, 700, 1000, t), rtol=0, atol=QUAD_EPS + 1e-14)
+        np.testing.assert_allclose(vals, dense_cdf(post, 700, 1000, t), rtol=0, atol=1e-15 + 1e-14)
+
+    def test_error_against_full_grid_within_quad_eps(self):
+        # MBPP counts on the default grid at the box corner where dropping
+        # the lightest cells' mass erred most (2.2e-11)
+        dom = one_subdomain_system(113, 257).domains[0]
+        post = hyper_posterior(dom, HyperConfig(1, 12, 25, 1), build_grid(GridSpec()))
+        t = eval_grid(201)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        assert np.max(np.abs(vals - dense_cdf(post, 113, 257, t))) <= QUAD_EPS
+
+    def test_negligible_cell_is_a_step_at_its_mean(self, monkeypatch):
+        # the light cell has G w <= QUAD_EPS: no evaluation, and its whole
+        # weight counts from its mean on, below the heavy cell's window
+        post = self.spread_grid([0.5, 0.05], [5.0, 5000.0])
+        post.weights = np.array([1.0 - QUAD_EPS / 2, QUAD_EPS / 2])
+        dom = one_subdomain_system(700, 1000).domains[0]
+        alpha, beta = dense_shapes(post, 700, 1000)
+        light_mean = alpha[1] / (alpha[1] + beta[1])  # 0.158; the heavy window starts at 0.58
+        evaluated = []
+
+        def spy(t, a, b):
+            evaluated.append(a)
+            return beta_cdf(t, a, b)
+
+        monkeypatch.setattr(inference, "beta_cdf", spy)
+        t = eval_grid(101)
+        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        assert evaluated and not np.any(np.concatenate(evaluated) == alpha[1])
+        assert np.all(vals[t < light_mean] == 0.0)
+        np.testing.assert_array_equal(vals[(t >= light_mean) & (t < 0.5)], QUAD_EPS / 2)
+        assert vals[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_unsorted_t_rejected(self):
         dom = one_subdomain_system().domains[0]
@@ -234,9 +266,9 @@ class TestSubdomainMarginalCdf:
             subdomain_marginal_cdf(dom, 0, post, np.array([0.5, 1.5]))
 
     def test_peak_bounded_by_block_not_kept_cells(self, monkeypatch):
-        # two trials leave the posterior close to the diffuse prior, so it
-        # keeps most of the 8000 cells: one (kept, T) matrix would take
-        # about 11 MB, a block 0.4 MB
+        # two trials leave the posterior close to the diffuse prior, so most
+        # of the 8000 cells are evaluated: one (evaluated, T) matrix would
+        # take about 11 MB, a block 0.4 MB
         dom = one_subdomain_system(1, 2).domains[0]
         post = hyper_posterior(dom, HyperConfig(1, 1, 1, 1), build_grid(GridSpec(n_mu=100, n_nu=80)))
         t = eval_grid(201)

@@ -1,6 +1,7 @@
 """Validation tests for the hierarchy data model."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -133,6 +134,21 @@ def test_near_one_weights_renormalized():
 def test_negative_weight_rejected():
     with pytest.raises(ValidationError):
         validate(make_system(w=(-0.1, 1.1)))
+
+
+@pytest.mark.parametrize(
+    "weights, path",
+    [
+        ({"w": (math.nan, 1.0)}, "system.domain_weights"),
+        ({"om1": (math.nan, 1.0)}, "system.domains[0].op_weights"),
+    ],
+    ids=["domain-weights", "op-weights"],
+)
+def test_nan_weight_rejected(weights, path):
+    # every comparison with nan is False, so a sum check alone lets it through
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(**weights))
+    assert [p for p, _ in exc.value.issues] == [path]
 
 
 def test_validation_idempotent():
