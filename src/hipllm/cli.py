@@ -23,17 +23,7 @@ from pathlib import Path
 
 from . import harness
 from .baselines import bb_expected_future_reliability, bb_mean_envelope, bb_update
-from .config import (
-    ConfigError,
-    RunConfig,
-    _list,
-    _numbers,
-    _parse_box,
-    _require_keys,
-    config_to_dict,
-    load_json,
-    parse_config,
-)
+from .config import ConfigError, RunConfig, config_to_dict, parse_config, parse_sweep
 from .hyperposterior import NumericalError
 from .inference import infer
 from .model import MAX_COUNT, SEED_LIMIT, ReliabilityQuery, ValidationError
@@ -107,48 +97,12 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _sweep(args, path: str, prefix: str, read) -> int:
-    """Run once per entry of the JSON list in file `path`, on the system
-    `read(entry, entry_path, system)` makes of the config's, into
-    `<out>/<prefix><idx:02d>`."""
-    cfg = _load_run_config(args)
-    entries = load_json(path)
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{path}: expected a nonempty JSON list")
-    for idx, entry in enumerate(entries):
-        system = read(entry, f"{path}[{idx}]", cfg.system)
-        _run(replace(cfg, system=system), Path(args.out) / f"{prefix}{idx:02d}", args.threads)
+def cmd_sweep(args) -> int:
+    """Run once per entry of the sweep file, into `<out>/<kind><idx:02d>`.
+    Every entry is read and checked before the first run."""
+    for idx, cfg in enumerate(parse_sweep(args.entries, _load_run_config(args), args.kind)):
+        _run(cfg, Path(args.out) / f"{args.kind}{idx:02d}", args.threads)
     return EXIT_OK
-
-
-def _boxed(entry, path: str, system):
-    """Every domain under the box `entry`."""
-    box = _parse_box(entry, path)
-    return replace(system, domains=tuple(replace(d, box=box) for d in system.domains))
-
-
-def _reweighted(entry, path: str, system):
-    """The system with the `omegas` and `weights` that `entry` sets."""
-    _require_keys(entry, path, set(), {"omegas", "weights"})
-    if "omegas" in entry:
-        omegas = _list(entry["omegas"], f"{path}.omegas", _numbers)
-        if len(omegas) != len(system.domains):
-            raise ConfigError(f"{path}.omegas: need one vector per domain")
-        system = replace(
-            system,
-            domains=tuple(replace(d, op_weights=om) for d, om in zip(system.domains, omegas)),
-        )
-    if "weights" in entry:
-        system = replace(system, domain_weights=_numbers(entry["weights"], f"{path}.weights"))
-    return system
-
-
-def cmd_sweep_hyper(args) -> int:
-    return _sweep(args, args.boxes, "box", _boxed)
-
-
-def cmd_sweep_op(args) -> int:
-    return _sweep(args, args.weights, "op", _reweighted)
 
 
 def cmd_synth(args) -> int:
@@ -270,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-hyper", help="repeat inference over prior boxes")
     add_run_opts(p)
-    p.add_argument("--boxes", required=True, help="JSON list of box objects")
-    p.set_defaults(func=cmd_sweep_hyper)
+    p.add_argument("--boxes", dest="entries", required=True, help="JSON list of box objects")
+    p.set_defaults(func=cmd_sweep, kind="box")
 
     p = sub.add_parser("sweep-op", help="repeat inference over weight vectors")
     add_run_opts(p)
-    p.add_argument("--weights", required=True, help="JSON list of weight overrides")
-    p.set_defaults(func=cmd_sweep_op)
+    p.add_argument("--weights", dest="entries", required=True, help="JSON list of weight overrides")
+    p.set_defaults(func=cmd_sweep, kind="op")
 
     p = sub.add_parser("synth", help="synthetic ground-truth comparison tables")
     p.add_argument("--out", required=True)

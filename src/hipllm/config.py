@@ -2,7 +2,8 @@
 
 Configs are the experiment record: unknown keys are rejected everywhere so
 a typo can never silently fall back to a default, and the schema carries an
-explicit version field.  `load_json` reads every JSON input file.
+explicit version field.  `load_json` reads every JSON input file, and
+`parse_sweep` reads a sweep file as patches to a resolved config.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from .model import (
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
+    ValidationError,
     default_box,
     validate,
 )
 
 __all__ = [
-    "ConfigError", "RunConfig", "config_to_dict", "load_json", "parse_config", "parse_config_dict"
+    "ConfigError", "RunConfig", "config_to_dict", "load_json", "parse_config", "parse_config_dict",
+    "parse_sweep",
 ]
 
 SCHEMA_VERSION = 1
@@ -237,3 +240,42 @@ def load_json(path: str | Path) -> Any:
 def parse_config(path: str | Path) -> RunConfig:
     """Load, parse, and validate a JSON config file."""
     return parse_config_dict(load_json(path))
+
+
+def _patch(doc: Dict[str, Any], entry, kind: str, path: str) -> Dict[str, Any]:
+    """Config document `doc` with sweep entry `entry` applied: for `kind`
+    "box" the box of every domain, for "op" the `omegas` (one vector per
+    domain) and `weights` the entry sets."""
+    hierarchy = doc["hierarchy"]
+    if kind == "box":
+        _require_keys(entry, path, {"a", "b", "c", "d"}, set())
+        for domain in hierarchy["domains"]:
+            domain["box"] = entry
+        return doc
+    _require_keys(entry, path, set(), {"omegas", "weights"})
+    omegas = entry.get("omegas", [d["omega"] for d in hierarchy["domains"]])
+    if not isinstance(omegas, list) or len(omegas) != len(hierarchy["domains"]):
+        raise ConfigError(f"{path}.omegas: need one vector per domain")
+    for domain, omega in zip(hierarchy["domains"], omegas):
+        domain["omega"] = omega
+    hierarchy["weights"] = entry.get("weights", hierarchy["weights"])
+    return doc
+
+
+def parse_sweep(path: str | Path, cfg: RunConfig, kind: str) -> list[RunConfig]:
+    """The runs of the sweep file `path`, a nonempty JSON list: each entry
+    patches the resolved document of `cfg` (see `_patch`) and is read by
+    `parse_config_dict`.  Every entry is checked before this returns, and
+    an error names `<path>[<idx>]`."""
+    entries = load_json(path)
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"{path}: expected a nonempty JSON list")
+    runs = []
+    for idx, entry in enumerate(entries):
+        where = f"{path}[{idx}]"
+        doc = _patch(config_to_dict(cfg), entry, kind, where)
+        try:
+            runs.append(parse_config_dict(doc))
+        except (ConfigError, ValidationError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return runs

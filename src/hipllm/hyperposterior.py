@@ -45,8 +45,6 @@ class HyperGrid:
     mu: np.ndarray            # (G,) node values, mu varies fastest
     nu: np.ndarray            # (G,)
     log_measure: np.ndarray   # (G,) log of mu-width * nu-width
-    n_mu: int
-    n_nu: int
     weights: Optional[np.ndarray] = None      # (G,) posterior mass, sums to 1
     log_evidence: Optional[float] = None      # log Pr(counts | config)
 
@@ -68,13 +66,7 @@ def build_grid(spec: GridSpec) -> HyperGrid:
     mu = np.tile(mu_nodes, spec.n_nu)
     nu = np.repeat(nu_nodes, spec.n_mu)
     measure = np.repeat(nu_widths, spec.n_mu) * mu_width
-    return HyperGrid(
-        mu=mu,
-        nu=nu,
-        log_measure=np.log(measure),
-        n_mu=spec.n_mu,
-        n_nu=spec.n_nu,
-    )
+    return HyperGrid(mu=mu, nu=nu, log_measure=np.log(measure))
 
 
 def log_prior_density(mu, nu, h: HyperConfig):

@@ -203,29 +203,23 @@ def sample_domain(
     post: HyperGrid,
     s: int,
     rng: RngState,
-    sub_stream_tags: Optional[Sequence[int]] = None,
 ) -> SampleSet:
     """Monte Carlo draws of subdomain accuracies and the domain aggregate.
 
     Each draw picks a grid cell from the posterior weights, then draws every
     subdomain accuracy from its conditional Beta, then aggregates with the
-    within-domain operational weights.  The cell stream and each subdomain's
-    Beta stream are separate substreams, so permuting subdomains together
-    with their weights and stream tags leaves the aggregate unchanged.
+    within-domain operational weights.  The cells come from substream 0 and
+    subdomain j's Beta draws from substream j + 1.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
-    n_sub = len(domain.subdomains)
-    tags = list(sub_stream_tags) if sub_stream_tags is not None else list(range(1, n_sub + 1))
-    if len(tags) != n_sub:
-        raise ValueError("need one stream tag per subdomain")
     cells = sample_categorical(rng.substream(0), post.weights, size=s)
     mu, nu = post.mu[cells], post.nu[cells]
-    theta = np.empty((s, n_sub))
+    theta = np.empty((s, len(domain.subdomains)))
     for j, sub in enumerate(domain.subdomains):
         alpha = sub.correct + mu * nu
         beta = sub.total - sub.correct + (1.0 - mu) * nu
-        theta[:, j] = rng.substream(tags[j]).gen.beta(alpha, beta)
+        theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
     p = theta @ np.asarray(domain.op_weights)
     return SampleSet(theta=theta, p=p)
 

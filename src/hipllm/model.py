@@ -34,6 +34,11 @@ __all__ = [
 # anything closer is silently renormalized (absorbs decimal rounding).
 RENORM_TOL = 1e-6
 
+# Float64 machine epsilon.  A weight vector whose sum is within len(w) * EPS
+# of 1 is kept as it is: dividing by such a sum can move entries by an ulp,
+# so renormalizing on every call would not be idempotent.
+EPS = float(np.finfo(float).eps)
+
 # Counts above this are not exactly representable as floats, and the
 # likelihood's special functions take floats.
 MAX_COUNT = 2**53
@@ -174,11 +179,12 @@ def _check_weights(w: Tuple[float, ...], path: str, issues: list) -> Tuple[float
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         issues.append((path, "weights must be finite and nonnegative"))
         return w
-    s = arr.sum()
+    with np.errstate(over="ignore"):  # a sum beyond the float range reads inf
+        s = arr.sum()
     if abs(s - 1.0) > RENORM_TOL:
         issues.append((path, f"weights sum to {s:.9g}, not 1 within {RENORM_TOL}"))
         return w
-    return tuple(arr / s)
+    return tuple(arr / s if abs(s - 1.0) > arr.size * EPS else arr)
 
 
 def _check_interval(rng: Tuple[float, float], path: str, issues: list) -> None:
@@ -197,8 +203,9 @@ def validate(
 ) -> Tuple[SystemSpec, GridSpec, McSpec, ReliabilityQuery]:
     """Check every invariant; return normalized copies or raise ValidationError.
 
-    Weight vectors within RENORM_TOL of summing to 1 are renormalized; all
-    other violations are collected with a path to the offending field.
+    Weight vectors within RENORM_TOL of summing to 1 are renormalized, and
+    a second call keeps them as they are; all other violations are
+    collected with a path to the offending field.
     No two subdomains, and no two domains, may share an `entity_keys` name.
     """
     grid = grid if grid is not None else default_grid()

@@ -187,6 +187,23 @@ class TestInfer:
         rel = {(e["level"], e["entity"]): e for e in doc["reliability"]}
         assert rel[("system", "system")]["horizons"] == [1, 5]
 
+    def test_echo_reproduces_run(self, tmp_path):
+        # omega sums to 1.000001: it is renormalized once, and the echo holds
+        # the weights the engine ran on, so a run from the echo is the same run
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["subdomains"] = [
+            {"correct": k, "total": 10, "label": f"s{k}"} for k in (7, 3, 9, 5)
+        ]
+        doc["hierarchy"]["domains"][0]["omega"] = [0.589001, 0.166174, 0.173862, 0.070964]
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(first)]) == EXIT_OK
+        echo_doc = json.loads((first / "report.json").read_text())["config"]
+        echo = write_config(tmp_path, echo_doc, "echo.json")
+        assert main(["infer", "--config", str(echo), "--out", str(second)]) == EXIT_OK
+        for name in ("report.json", "envelopes.csv", "reliability.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_seed_override_echoed(self, tmp_path):
         cfg = write_config(tmp_path, DEGENERATE)
         out = tmp_path / "out"
@@ -349,6 +366,33 @@ class TestSweeps:
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), option, str(broken)])
         assert code == EXIT_CONFIG
         assert f"{broken}: JSON parse error at line 2, column 3" in capsys.readouterr().err
+
+    BOX = {"a": [1, 1], "b": [1, 1], "c": [1, 1], "d": [0.5, 0.5]}
+
+    @pytest.mark.parametrize(
+        "command, option, entries, message",
+        [
+            ("sweep-hyper", "--boxes", [BOX, {**BOX, "a": [3, 2]}], "interval min 3.0 exceeds max 2.0"),
+            ("sweep-hyper", "--boxes", [None], "expected an object"),
+            ("sweep-hyper", "--boxes", [BOX, {**BOX, "e": [1, 2]}], "unknown keys ['e']"),
+            ("sweep-op", "--weights", [{"weights": [1.0]}, {"weights": [0.5]}], "weights sum to 0.5"),
+            ("sweep-op", "--weights", [{}, {"omegas": [[1.0], [1.0]]}], "need one vector per domain"),
+            ("sweep-op", "--weights", [{}, {"omegas": [["x"]]}], "omega[0]: expected a finite number"),
+        ],
+        ids=["box-reversed", "box-null", "box-unknown-key", "weights-sum", "omegas-count", "omega-type"],
+    )
+    def test_bad_last_entry_exits_before_any_run(
+        self, tmp_path, capsys, command, option, entries, message
+    ):
+        cfg = write_config(tmp_path, DEGENERATE)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out), option, str(sweep)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{sweep}[{len(entries) - 1}]" in err and message in err
+        assert not out.exists()
 
 
 class TestBaselineCommand:

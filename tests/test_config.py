@@ -1,12 +1,22 @@
 """Config schema parsing and strictness tests."""
 
 import json
-
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hipllm.config import ConfigError, config_to_dict, parse_config, parse_config_dict
+from hipllm.config import (
+    ConfigError,
+    RunConfig,
+    config_to_dict,
+    parse_config,
+    parse_config_dict,
+    parse_sweep,
+)
 from hipllm.model import ValidationError
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -56,8 +66,16 @@ class TestMinimal:
                 }],
                 "weights": [1.0],
             }),
+            make(hierarchy={
+                "domains": [{
+                    "subdomains": [{"correct": k, "total": 10} for k in range(4)],
+                    # sums to 1.000001; dividing by the sum twice moves each entry by an ulp
+                    "omega": [0.589001, 0.166174, 0.173862, 0.070964],
+                }],
+                "weights": [1.0],
+            }),
         ],
-        ids=["minimal", "flags-and-horizons", "gpt4o", "renormalized-omega"],
+        ids=["minimal", "flags-and-horizons", "gpt4o", "renormalized-omega", "renormalized-once"],
     )
     def test_resolved_config_round_trip(self, doc):
         # the echo carries every default and re-parses to the same run
@@ -147,3 +165,77 @@ class TestFiles:
     def test_output_flags(self):
         cfg = parse_config_dict(make(output={"csv": False, "svg": True}))
         assert not cfg.emit_csv and cfg.emit_json and cfg.emit_svg
+
+
+def two_domain_config() -> RunConfig:
+    sub = {"subdomains": [{"correct": 3, "total": 10}, {"correct": 1, "total": 2}]}
+    return parse_config_dict(make(hierarchy={
+        "domains": [{**sub, "omega": [0.5, 0.5]}, {**sub, "omega": [0.25, 0.75]}],
+        "weights": [0.4, 0.6],
+    }))
+
+
+def write_sweep(directory, entries) -> Path:
+    path = Path(directory) / "sweep.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
+class TestSweep:
+    BOX = {"a": [2, 3], "b": [1, 4], "c": [1, 5], "d": [2, 2]}
+
+    def test_box_entry_sets_every_domain(self, tmp_path):
+        cfg = two_domain_config()
+        runs = parse_sweep(write_sweep(tmp_path, [self.BOX]), cfg, "box")
+        assert [d.box.ranges() for d in runs[0].system.domains] == [
+            ((2.0, 3.0), (1.0, 4.0), (1.0, 5.0), (2.0, 2.0))
+        ] * 2
+        assert runs[0].mc == cfg.mc and runs[0].grid == cfg.grid
+
+    def test_op_entry_sets_omegas_and_weights(self, tmp_path):
+        cfg = two_domain_config()
+        entries = [{"omegas": [[1, 0], [0.5, 0.5]]}, {"weights": [1, 0]}, {}]
+        runs = parse_sweep(write_sweep(tmp_path, entries), cfg, "op")
+        assert [d.op_weights for d in runs[0].system.domains] == [(1.0, 0.0), (0.5, 0.5)]
+        assert runs[0].system.domain_weights == cfg.system.domain_weights
+        assert runs[1].system.domain_weights == (1.0, 0.0)
+        assert runs[2] == cfg
+
+    @pytest.mark.parametrize("entries", [[], {"a": [1, 2]}, None])
+    def test_not_a_nonempty_list(self, tmp_path, entries):
+        with pytest.raises(ConfigError, match="expected a nonempty JSON list"):
+            parse_sweep(write_sweep(tmp_path, entries), two_domain_config(), "box")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# each shape valid in one branch and arbitrary JSON in the other
+INTERVAL = st.lists(st.floats(0.1, 30), min_size=2, max_size=2).map(sorted) | JSON
+PAIR = st.floats(0, 1).map(lambda x: [x, 1 - x]) | JSON
+ENTRY = (
+    JSON
+    | st.fixed_dictionaries({k: INTERVAL for k in "abcd"}, optional={"e": JSON})
+    | st.fixed_dictionaries(
+        {}, optional={"omegas": st.lists(PAIR, min_size=2, max_size=2) | JSON, "weights": PAIR}
+    )
+)
+
+
+@pytest.mark.parametrize("kind", ["box", "op"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(entries=st.lists(ENTRY, min_size=1, max_size=3))
+def test_sweep_entries_parse_or_name_their_index(kind, entries):
+    # any JSON entry yields a run or a ConfigError naming the file and the entry
+    cfg = two_domain_config()
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_sweep(directory, entries)
+        try:
+            runs = parse_sweep(path, cfg, kind)
+        except ConfigError as exc:
+            where = re.match(rf"{re.escape(str(path))}\[(\d+)\]", str(exc))
+            assert where and int(where.group(1)) < len(entries)
+        else:
+            assert len(runs) == len(entries) and all(isinstance(r, RunConfig) for r in runs)

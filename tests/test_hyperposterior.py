@@ -45,7 +45,7 @@ class TestBuildGrid:
     def test_node_count(self):
         g = build_grid(default_grid())
         assert g.size == 2000
-        assert g.n_mu * g.n_nu == g.size
+        assert g.mu.size == g.nu.size == g.log_measure.size == default_grid().size
 
 
 class TestLogPriorDensity:

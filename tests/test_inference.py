@@ -163,8 +163,6 @@ class TestSubdomainMarginalCdf:
             mu=rng.uniform(0.05, 0.95, cells),
             nu=rng.uniform(1.0, 50.0, cells),
             log_measure=np.zeros(cells),
-            n_mu=cells,
-            n_nu=1,
             weights=weights / weights.sum(),
         )
         dom = one_subdomain_system(30, 50).domains[0]
@@ -183,8 +181,6 @@ class TestSubdomainMarginalCdf:
             mu=mu,
             nu=nu,
             log_measure=np.zeros(mu.size),
-            n_mu=mu.size,
-            n_nu=1,
             weights=np.full(mu.size, 1.0 / mu.size),
         )
 
@@ -322,6 +318,9 @@ class TestSampleDomain:
         assert failures <= 1
 
     def test_permutation_equivariance(self):
+        # permuting subdomains together with their weights leaves the law of
+        # the aggregate unchanged: the two empirical CDFs lie within twice
+        # the DKW half-width at confidence 1 - 1e-6 of each other
         sub_a, sub_b = SubdomainData(30, 50, "a"), SubdomainData(10, 40, "b")
         box = default_box()
         dom = DomainSpec((sub_a, sub_b), (0.3, 0.7), box)
@@ -330,12 +329,12 @@ class TestSampleDomain:
         h = HyperConfig(2, 3, 2, 2)
         post = hyper_posterior(dom, h, grid)
         post_perm = hyper_posterior(dom_perm, h, grid)
-        sl = sample_domain(dom, post, 1000, RngState(11), sub_stream_tags=[1, 2])
-        sl_perm = sample_domain(
-            dom_perm, post_perm, 1000, RngState(11), sub_stream_tags=[2, 1]
-        )
-        # identical up to summation order in the weighted aggregate
-        np.testing.assert_allclose(sl.p, sl_perm.p, rtol=0, atol=1e-12)
+        s = 4000
+        sl = sample_domain(dom, post, s, RngState(11))
+        sl_perm = sample_domain(dom_perm, post_perm, s, RngState(12))
+        t = eval_grid(201)
+        gap = np.max(np.abs(empirical_cdf(sl.p, t) - empirical_cdf(sl_perm.p, t)))
+        assert gap <= 2 * math.sqrt(math.log(2 / 1e-6) / (2 * s))
 
     def test_data_dominance(self):
         # more successes strictly raise the posterior mean of theta

@@ -151,6 +151,12 @@ def test_nan_weight_rejected(weights, path):
     assert [p for p, _ in exc.value.issues] == [path]
 
 
+def test_weight_sum_beyond_float_range_rejected():
+    # the sum overflows to inf: reported as an issue, with no RuntimeWarning
+    with pytest.raises(ValidationError, match="weights sum to inf"):
+        validate(make_system(w=(1e308, 1e308)))
+
+
 def test_validation_idempotent():
     first = validate(make_system())
     second = validate(*first)
