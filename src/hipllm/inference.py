@@ -76,6 +76,10 @@ QUAD_BLOCK = 256
 # the G cells may drop QUAD_EPS / G of it outside its window.
 QUAD_EPS = 1e-12
 
+# expected_reliability counts a term exp(n_F * log p) below e**LOG_TINY as 0:
+# numpy's `exp` is fast down to about -708 and slow below.
+LOG_TINY = -700.0
+
 # Substream stage tags (first path element after the master seed).
 _STAGE_CONFIGS = 1
 _STAGE_SAMPLES = 2
@@ -185,15 +189,22 @@ def subdomain_marginal_cdf(
     lo, hi = np.searchsorted(t, [mean - h, mean + h])
     # a cell adds its whole weight at every t past its window
     cdf = np.cumsum(np.bincount(hi, weights=w, minlength=t.size + 1)[: t.size])
-    # flat evaluation e of cell c sits at t index e - shift[c]
+    # cell c's flat evaluations are starts[c] <= e < ends[c]; e sits at t
+    # index e - shift[c]
     ends = np.cumsum(hi - lo)
-    shift = ends - hi
+    starts, shift = ends - (hi - lo), ends - hi
     del h, mean, lo, hi  # freed before the blocks: keeps the measured peak down
     evals, budget = int(ends[-1]), QUAD_BLOCK * t.size // 8
-    for first in range(0, evals, budget):
-        e = np.arange(first, min(first + budget, evals))
-        c = np.searchsorted(ends, e, side="right")
-        k = e - shift[c]
+    firsts = np.arange(0, evals, budget)
+    lasts = np.minimum(firsts + budget, evals)
+    # each block's cell range [c0, c1): the cells of its first and last evaluation
+    c0s = np.searchsorted(ends, firsts, side="right")
+    c1s = np.searchsorted(ends, lasts - 1, side="right") + 1
+    for first, last, c0, c1 in zip(firsts, lasts, c0s, c1s):
+        # the block's evaluations of each cell, the first and last cell trimmed
+        count = np.minimum(ends[c0:c1], last) - np.maximum(starts[c0:c1], first)
+        c = np.repeat(np.arange(c0, c1), count)
+        k = np.arange(first, last) - shift[c]
         cdf += np.bincount(k, weights=w[c] * beta_cdf(t[k], alpha[c], beta[c]), minlength=t.size)
     return cdf
 
@@ -274,12 +285,31 @@ def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> CdfEnvelope:
 
 
 def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.ndarray:
-    """Monte Carlo mean of each horizon's power n_F of the sampled
-    probabilities: the (H,) row of E[p ** n_F]."""
-    samples = np.asarray(samples)
+    """Monte Carlo mean of each horizon's power n_F >= 1 of the sampled
+    probabilities in [0, 1]: the (H,) row of E[p ** n_F].
+
+    Each power is exp(n_F * log p), one `exp` pass over the (H, S) block;
+    n_F = 1 takes p itself, so E[p] is the plain sample mean.  A term whose
+    exponent lies below LOG_TINY (p ** n_F < e**-700, about 1e-304; p = 0
+    among them) counts as exactly 0, which moves a mean by less than
+    1e-304 and keeps `exp` off its slow underflow path.  Rounding log p,
+    the product and exp give a term x = p ** n_F an absolute error of order
+    u * x * (1 + |ln x|), at most about 2u since x * |ln x| <= 1/e, for any
+    n_F up to 2**53 (u = 2**-53, the unit roundoff); p = 1 gives exactly 1.
+    """
+    samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("expected_reliability requires at least one sample")
-    return np.array([np.mean(samples ** n_f) for n_f in horizons])
+    with np.errstate(divide="ignore"):
+        log_p = np.log(samples)
+    n_f = np.asarray(horizons, dtype=float)
+    x = np.multiply.outer(n_f, log_p)
+    tiny = x < LOG_TINY
+    np.maximum(x, LOG_TINY, out=x)
+    np.exp(x, out=x)
+    x[tiny] = 0.0
+    x[n_f == 1.0] = samples
+    return x.mean(axis=1)
 
 
 def _map(fn, n: int, threads: int) -> list:

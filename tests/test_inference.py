@@ -4,10 +4,11 @@ and the reliability transforms."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hipllm.inference as inference
@@ -54,6 +55,11 @@ def dense_cdf(post, correct, total, t):
 
 # single-node grid whose unique cell sits at (mu=0.5, nu=2)
 POINT_GRID = GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0)
+
+
+# probabilities at the edges of the reliability kernel: zero, the smallest
+# subnormal, the smallest normal, the largest below one, and one
+EDGE_P = (0.0, 5e-324, 2.0**-1022, 1.0 - 2.0**-53, 1.0)
 
 
 def point_box(a=2.0, b=2.0, c=2.0, d=2.0):
@@ -475,6 +481,41 @@ class TestReliabilityTransforms:
         vals = expected_reliability(draws, (1, 2, 5, 10, 100))
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_P)), min_size=1, max_size=40),
+        st.lists(st.integers(1, 2**53), min_size=1, max_size=8),
+    )
+    @example(list(EDGE_P), [1, 2, 700, 10**6, 2**53])
+    @settings(max_examples=300, deadline=None)
+    def test_within_1e_15_of_exact_powers(self, p, horizons):
+        vals = expected_reliability(np.array(p), horizons)
+        exact = [math.fsum(math.pow(x, n) for x in p) / len(p) for n in horizons]
+        np.testing.assert_allclose(vals, exact, rtol=0, atol=1e-15)
+
+    def test_zero_and_one_are_exact_without_warnings(self):
+        horizons = (1, 3, 1000, 2**53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeros = expected_reliability(np.zeros(5), horizons)
+            ones = expected_reliability(np.ones(5), horizons)
+            both = expected_reliability(np.array([0.0, 1.0]), horizons)
+        assert zeros.tolist() == [0.0] * 4
+        assert ones.tolist() == [1.0] * 4
+        assert both.tolist() == [0.5] * 4
+
+    def test_unsorted_and_repeated_horizons(self):
+        draws = RngState(23).gen.beta(40, 3, size=500)
+        horizons = (100, 1, 5000, 100, 7, 1)
+        vals = expected_reliability(draws, horizons)
+        for n, val in zip(horizons, vals):
+            assert val == expected_reliability(draws, [n])[0]
+        assert vals[0] == vals[3] and vals[1] == vals[5]
+
+    def test_horizon_one_is_the_sample_mean(self):
+        # seed 33's mean of exp(log p) differs from mean(p) in the last bit
+        draws = RngState(33).gen.random(999)
+        assert expected_reliability(draws, (3, 1))[1] == np.mean(draws)
+
 
 class TestInfer:
     def degenerate_report(self, **kwargs):
@@ -541,6 +582,25 @@ class TestInfer:
             np.testing.assert_array_equal(
                 rep1.bands[key].expected_lower, rep3.bands[key].expected_lower
             )
+
+    def test_reliability_bands_valid_up_to_2_53(self):
+        sys_ = SystemSpec(
+            domains=(
+                DomainSpec((SubdomainData(18, 20), SubdomainData(90, 100)), (0.3, 0.7), default_box()),
+                DomainSpec((SubdomainData(40, 40),), (1.0,), default_box(), label="d2"),
+            ),
+            domain_weights=(0.6, 0.4),
+        )
+        mc = McSpec(samples_per_config=300, configs_per_domain=6, master_seed=31, t_grid_size=11)
+        horizons = (2**53, 1, 5000, 10**6, 2, 2**30, 100, 2**53 - 1)
+        rep = infer(sys_, GridSpec(n_mu=8, n_nu=6), mc, ReliabilityQuery(horizons))
+        order = np.argsort(horizons)
+        assert len(rep.bands) == 6
+        for band in rep.bands.values():
+            lo, hi = band.expected_lower[order], band.expected_upper[order]
+            assert np.all((lo >= 0.0) & (hi <= 1.0))
+            assert np.all(lo <= hi)
+            assert np.all(np.diff(lo) <= 0.0) and np.all(np.diff(hi) <= 0.0)
 
     def test_system_sample_arrays_matches_infer_seeds(self):
         sys_ = one_subdomain_system(c=30, n=40)
