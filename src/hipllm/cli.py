@@ -123,14 +123,7 @@ def cmd_synth(args) -> int:
     rows = harness.run_rq5(gt, regimes, noise=args.noise, seed=args.seed, mc=mc)
 
     table = [
-        {
-            "regime": row.regime,
-            "scenario": row.scenario,
-            "method": row.summary.method,
-            "median": list(row.summary.median),
-            "error": list(row.summary.error),
-            "interval_90": list(row.summary.interval_90),
-        }
+        {"regime": row.regime, "scenario": row.scenario, **dataclasses.asdict(row.summary)}
         for row in rows
     ]
     out_dir = Path(args.out)

@@ -125,8 +125,6 @@ def _parse_subdomain(obj, path: str) -> SubdomainData:
 def _parse_domain(obj, path: str) -> DomainSpec:
     _require_keys(obj, path, {"subdomains", "omega"}, {"label", "box"})
     subs = _list(obj["subdomains"], f"{path}.subdomains", _parse_subdomain)
-    if not subs:
-        raise ConfigError(f"{path}.subdomains: expected a nonempty list")
     return DomainSpec(
         subdomains=subs,
         op_weights=_numbers(obj["omega"], f"{path}.omega"),
@@ -138,8 +136,6 @@ def _parse_domain(obj, path: str) -> DomainSpec:
 def _parse_hierarchy(obj, path: str) -> SystemSpec:
     _require_keys(obj, path, {"domains", "weights"}, set())
     doms = _list(obj["domains"], f"{path}.domains", _parse_domain)
-    if not doms:
-        raise ConfigError(f"{path}.domains: expected a nonempty list")
     return SystemSpec(domains=doms, domain_weights=_numbers(obj["weights"], f"{path}.weights"))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,12 +22,10 @@ from .inference import infer, system_sample_arrays
 from .model import (
     DomainSpec,
     GridSpec,
-    HyperBox,
     McSpec,
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
-    default_box,
     default_grid,
     default_mc,
 )
@@ -122,14 +120,14 @@ def build_system(
     gt: GroundTruth,
     counts: Sequence[SubdomainData],
     op_flat: Sequence[float],
-    box: Optional[HyperBox] = None,
 ) -> SystemSpec:
-    """Assemble the two-level hierarchy from flattened weights.
+    """Assemble the two-level hierarchy of `gt.domain_sizes` from
+    per-subdomain counts and flattened weights; every domain takes
+    `DomainSpec`'s default box.
 
     Domain weights are the per-domain sums of the flattened weights; the
     within-domain weights are the renormalized remainders.
     """
-    box = box if box is not None else default_box()
     domains = []
     weights = []
     k = 0
@@ -142,7 +140,6 @@ def build_system(
             DomainSpec(
                 subdomains=tuple(counts[k : k + size]),
                 op_weights=tuple(chunk / w_i),
-                box=box,
                 label=f"synth-dom{i+1}",
             )
         )
@@ -176,13 +173,11 @@ def _quantiles(samples: np.ndarray) -> Tuple[float, float, float]:
 
 def summarize_method(
     method: str,
-    samples: Union[np.ndarray, Sequence[np.ndarray]],
+    samples: Sequence[np.ndarray],
     p_gt: float,
 ) -> MethodSummary:
-    """Summarize either a single posterior sample array, taken as a family of
-    one, or a family of per-config arrays (envelope method)."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 1:
-        samples = [samples]
+    """Summarize a family of per-config posterior sample arrays; a
+    single-posterior method passes a family of one."""
     triples = [_quantiles(np.asarray(s)) for s in samples]
     if not triples:
         raise ValueError("envelope summary requires at least one config")
@@ -232,7 +227,7 @@ def run_rq5(
             for m_idx, method in enumerate([*priors, "hip-llm"]):
                 m_seed = derive_substream(seed, (30, r_idx, m_idx))
                 if method in priors:
-                    samples = bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)
+                    samples = [bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)]
                 else:
                     samples = system_sample_arrays(system, grid, replace(mc, master_seed=m_seed))
                 rows.append(
@@ -253,33 +248,26 @@ class ScalingRecord:
     peak_bytes: int
 
 
-def _bench_system(m: int, n_bar: int, box: HyperBox) -> SystemSpec:
-    """Synthetic hierarchy for timing runs; deterministic counts."""
-    thetas = (0.75, 0.65, 0.58, 0.45)
-    domains = []
-    k = 0
-    for i in range(m):
-        subs = []
-        for j in range(n_bar):
-            theta = thetas[k % len(thetas)]
-            k += 1
-            subs.append(SubdomainData(correct=round(theta * 500), total=500))
-        domains.append(
-            DomainSpec(
-                subdomains=tuple(subs),
-                op_weights=tuple([1.0 / n_bar] * n_bar),
-                box=box,
-                label=f"bench-dom{i+1}",
-            )
-        )
-    return SystemSpec(domains=tuple(domains), domain_weights=tuple([1.0 / m] * m))
+def _bench_system(m: int, n_bar: int) -> SystemSpec:
+    """Synthetic hierarchy for timing runs: m domains of n_bar subdomains,
+    uniform weights, and the reference accuracies cycled over the
+    subdomains with deterministic counts out of 500 trials."""
+    theta, size = default_ground_truth().theta, m * n_bar
+    gt = GroundTruth(
+        theta=tuple(theta[k % len(theta)] for k in range(size)),
+        op=(1.0 / size,) * size,
+        sample_sizes=(500,) * size,
+        domain_sizes=(n_bar,) * m,
+    )
+    counts = [SubdomainData(round(th * n), n) for th, n in zip(gt.theta, gt.sample_sizes)]
+    return build_system(gt, counts, gt.op)
 
 
 def _grid_for_size(g: int) -> GridSpec:
-    """GridSpec whose total node count approximates g, keeping the default
-    5:4 aspect ratio between the two axes."""
-    r = np.sqrt(g / 2000.0)
-    return GridSpec(n_mu=max(1, round(50 * r)), n_nu=max(1, round(40 * r)))
+    """The default grid scaled to about g nodes, keeping its aspect ratio."""
+    grid = default_grid()
+    r = np.sqrt(g / grid.size)
+    return replace(grid, n_mu=max(1, round(grid.n_mu * r)), n_nu=max(1, round(grid.n_nu * r)))
 
 
 def run_scaling_sweep(
@@ -287,8 +275,10 @@ def run_scaling_sweep(
     values: Sequence[float],
     seed: int = 0,
 ) -> List[ScalingRecord]:
-    """Time the full engine while sweeping one parameter around the default
-    baseline (m=2, n_bar=2, K=160, S=3000, G=2000).
+    """Time the full engine while sweeping one parameter around a baseline
+    of m=2 domains of n_bar=2 subdomains (`_bench_system`), `default_mc()`
+    and `default_grid()`; a G value scales the default grid
+    (`_grid_for_size`).
 
     The timed run is single-threaded so fitted exponents are independent of
     scheduling.  Peak memory is the tracemalloc peak of a second, untimed
@@ -299,7 +289,6 @@ def run_scaling_sweep(
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     if any(v <= 0 for v in values) or list(values) != sorted(values):
         raise ValueError("sweep values must be positive and increasing")
-    box = default_box()
     base_mc = replace(default_mc(), master_seed=seed)
     query = ReliabilityQuery(horizons=(1,))
     records = []
@@ -316,7 +305,7 @@ def run_scaling_sweep(
             mc = replace(mc, samples_per_config=v)
         elif parameter == "G":
             grid = _grid_for_size(v)
-        system = _bench_system(m, n_bar, box)
+        system = _bench_system(m, n_bar)
         start = time.perf_counter()
         infer(system, grid, mc, query, threads=1)
         elapsed = time.perf_counter() - start

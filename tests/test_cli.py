@@ -223,10 +223,13 @@ class TestInfer:
             (("query", "horizons"), 7),
             (("query", "horizons"), [1, 2**53 + 1]),
             (("query", "horizons"), [1, 10**400]),
+            (("hierarchy", "domains"), []),
+            (("hierarchy", "domains", 0, "subdomains"), []),
         ],
         ids=[
             "correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str",
-            "horizons-int", "horizon-2**53+1", "horizon-10**400",
+            "horizons-int", "horizon-2**53+1", "horizon-10**400", "domains-empty",
+            "subdomains-empty",
         ],
     )
     def test_wrong_typed_value_exit_code(self, tmp_path, path, value):

@@ -143,6 +143,18 @@ class TestValidationFlowThrough:
         with pytest.raises(ValidationError, match="sum"):
             parse_config_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key,path",
+        [("domains", "system.domains"), ("subdomains", "system.domains[0].subdomains")],
+    )
+    def test_empty_list_names_its_field(self, key, path):
+        doc = make()
+        node = doc["hierarchy"] if key == "domains" else doc["hierarchy"]["domains"][0]
+        node[key] = []
+        with pytest.raises(ValidationError) as info:
+            parse_config_dict(doc)
+        assert path in [where for where, _ in info.value.issues]
+
 
 class TestFiles:
     def test_json_error_reports_position(self, tmp_path):

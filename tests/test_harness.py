@@ -15,7 +15,7 @@ from hipllm.harness import (
     run_scaling_sweep,
     summarize_method,
 )
-from hipllm.model import GridSpec, McSpec
+from hipllm.model import GridSpec, McSpec, default_box, default_grid, validate
 from hipllm.numerics import RngState
 
 FAST_GRID = GridSpec(n_mu=16, n_nu=12)
@@ -79,7 +79,7 @@ class TestOpScenarios:
 class TestSummarizeMethod:
     def test_scalar_median_interpolation(self):
         samples = np.arange(1, 11) / 10.0
-        s = summarize_method("x", samples, p_gt=0.5)
+        s = summarize_method("x", [samples], p_gt=0.5)
         assert s.median == (pytest.approx(0.55), pytest.approx(0.55))
 
     def test_single_config_collapses(self):
@@ -100,8 +100,8 @@ class TestSummarizeMethod:
         samples = rng.gen.random(101)
         shuffled = samples.copy()
         rng.gen.shuffle(shuffled)
-        a = summarize_method("x", samples, 0.5)
-        b = summarize_method("x", shuffled, 0.5)
+        a = summarize_method("x", [samples], 0.5)
+        b = summarize_method("x", [shuffled], 0.5)
         assert a == b
 
 
@@ -195,3 +195,31 @@ class TestScaling:
         run_scaling_sweep("m", [1, 2], seed=1)
         assert tracing == [False, True, False, True]
         assert clock == [False] * 4
+
+    def test_sweep_inputs(self, monkeypatch):
+        # the systems and grids handed to the engine, recorded without running it
+        import hipllm.harness as harness
+
+        calls = []
+        monkeypatch.setattr(
+            harness, "infer", lambda system, grid, *a, **k: calls.append((system, grid))
+        )
+        run_scaling_sweep("n", [1, 3])
+        systems = [validate(system)[0] for system, _ in calls[::2]]
+        assert [[len(d.subdomains) for d in s.domains] for s in systems] == [[1, 1], [3, 3]]
+        cycle = [375, 325, 290, 225]
+        for s in systems:
+            subs = [sub for d in s.domains for sub in d.subdomains]
+            assert [(sub.correct, sub.total) for sub in subs] == [
+                (cycle[k % 4], 500) for k in range(len(subs))
+            ]
+            assert s.domain_weights == (0.5, 0.5)
+            for d in s.domains:
+                assert d.op_weights == (1.0 / len(d.subdomains),) * len(d.subdomains)
+                assert d.box == default_box()
+
+        calls.clear()
+        run_scaling_sweep("G", [500, 2000, 4000])
+        grids = [(g.n_mu, g.n_nu) for _, g in calls[::2]]
+        assert grids == [(25, 20), (50, 40), (71, 57)]
+        assert calls[2][1] == default_grid()
