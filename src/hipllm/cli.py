@@ -6,8 +6,8 @@ over prior boxes), `sweep-op` (repeat inference over weight vectors), `synth`
 (synthetic ground-truth comparison tables), `bench` (scaling sweeps with
 power-law fits), and `baseline` (closed-form Beta-Binomial runs).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error (a run too large for memory
+among them), 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -262,6 +262,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(
+            f"configuration error: {exc or 'out of memory'}; lower the Monte Carlo sizes"
+            " (samples per config, configs per domain, pairing cap, t grid size)",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     except (NumericalError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baselines import BetaPosterior, bb_system_samples, informative_prior
-from .inference import infer, system_sample_arrays
+from .inference import infer, profile_samples
 from .model import (
     DomainSpec,
     GridSpec,
@@ -173,11 +173,11 @@ def _quantiles(samples: np.ndarray) -> Tuple[float, float, float]:
 
 def summarize_method(
     method: str,
-    samples: Sequence[np.ndarray],
+    samples: Iterable[np.ndarray],
     p_gt: float,
 ) -> MethodSummary:
-    """Summarize a family of per-config posterior sample arrays; a
-    single-posterior method passes a family of one."""
+    """Summarize a family of per-config posterior sample arrays, read once
+    in order; a single-posterior method passes a family of one."""
     triples = [_quantiles(np.asarray(s)) for s in samples]
     if not triples:
         raise ValueError("envelope summary requires at least one config")
@@ -209,7 +209,11 @@ def run_rq5(
     """Synthetic comparison of the estimation methods.
 
     One row per (sample-size regime x weight scenario x method); counts are
-    drawn once per regime and shared by every scenario and method.
+    drawn once per regime and shared by every scenario and method.  Each
+    method's seed is keyed by (regime, method), so the scenarios, which
+    differ only in their weights, share its draws too: HIP-LLM's
+    posteriors and draws are made once per regime and released before the
+    next one.
     """
     grid = grid if grid is not None else default_grid()
     mc = mc if mc is not None else default_mc()
@@ -218,18 +222,25 @@ def run_rq5(
         regime_gt = replace(gt, sample_sizes=tuple(int(n) for n in sizes))
         counts = generate_counts(regime_gt, derive_substream(seed, (10, r_idx)))
         scenarios = op_scenarios(regime_gt, noise, derive_substream(seed, (20, r_idx)))
+        systems = {name: build_system(regime_gt, counts, op) for name, op in scenarios.items()}
         priors = {  # the closed-form methods; each method's position seeds its samples
             "bb-uninf": [BetaPosterior(1.0, 1.0)] * len(regime_gt.theta),
             "bb-inf": [informative_prior(th, INFORMATIVE_KAPPA) for th in regime_gt.theta],
         }
-        for scenario, op_flat in scenarios.items():
-            system = build_system(regime_gt, counts, op_flat)
+        # one pairing stream per scenario, in scenario order; nothing runs
+        # before the first `next`, and rebinding frees the last regime's draws
+        hip_llm = profile_samples(
+            list(systems.values()),
+            grid,
+            replace(mc, master_seed=derive_substream(seed, (30, r_idx, len(priors)))),
+        )
+        for scenario, system in systems.items():
             for m_idx, method in enumerate([*priors, "hip-llm"]):
-                m_seed = derive_substream(seed, (30, r_idx, m_idx))
                 if method in priors:
+                    m_seed = derive_substream(seed, (30, r_idx, m_idx))
                     samples = [bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)]
                 else:
-                    samples = system_sample_arrays(system, grid, replace(mc, master_seed=m_seed))
+                    samples = next(hip_llm)
                 rows.append(
                     Rq5Row(
                         regime=regime,

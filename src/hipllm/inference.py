@@ -9,7 +9,10 @@ its CDF on the evaluation grid (quadrature for a subdomain, empirical for
 the domain), then its expected reliability at every horizon.  Only p
 outlives the unit; capped cross-domain config pairings combine it into the
 system aggregate p_L, one pairing at a time, which `infer` reduces to one
-such row in turn and `system_sample_arrays` returns.
+such row in turn and `system_sample_arrays` returns.  `profile_samples`
+serves systems that differ only in their operational profiles: one domain
+stage, whose units keep one p per system, the draws under that system's
+within-domain weights, and let the subdomain draws go.
 
 The report is one table keyed (level, entity name): every subdomain,
 domain and the system has one band, the pointwise min-max of its members'
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +67,7 @@ __all__ = [
     "envelope",
     "expected_reliability",
     "infer",
+    "profile_samples",
     "system_sample_arrays",
 ]
 
@@ -349,6 +353,49 @@ def _pair(system, domain_p, mc, master) -> Iterator[np.ndarray]:
     return (sample_system(system, pairing, domain_p) for pairing in pairings)
 
 
+def profile_samples(
+    systems: Sequence[SystemSpec],
+    grid_spec: Optional[GridSpec] = None,
+    mc: Optional[McSpec] = None,
+    threads: int = 1,
+) -> Iterator[Iterator[np.ndarray]]:
+    """Per-pairing system samples p_L of each of `systems`, in order, as
+    `system_sample_arrays` makes them one system at a time.
+
+    The systems may differ only in their operational profiles
+    (`op_weights` and `domain_weights`); other differences raise
+    ValueError.  The profile leaves the posteriors and the subdomain draws
+    alone, so the work units run once, when the first system's pairings are
+    asked for, and keep one p per system: the draws under its within-domain
+    weights.  Each system's pairings are made one at a time as the caller
+    iterates.
+    """
+    checked = [validate(system, grid_spec, mc, None) for system in systems]
+    systems = [system for system, _, _, _ in checked]
+    _, grid_spec, mc, _ = checked[0]
+
+    def shared(system):
+        """The system without its profile: counts, labels and boxes."""
+        return [replace(d, op_weights=()) for d in system.domains]
+
+    if any(shared(system) != shared(systems[0]) for system in systems[1:]):
+        raise ValueError("systems may differ only in op_weights and domain_weights")
+    grid = build_grid(grid_spec)
+    master = RngState(mc.master_seed)
+    # domain_p[i][k][n]: domain i, config k, system n; `sample_domain` has
+    # already reduced the draws under the first system's weights
+    domain_p = [
+        _domain(
+            domain, i, grid, mc, master, threads,
+            lambda post, draws, i=i: [draws.p]
+            + [draws.theta @ np.asarray(s.domains[i].op_weights) for s in systems[1:]],
+        )
+        for i, domain in enumerate(systems[0].domains)
+    ]
+    for n, system in enumerate(systems):
+        yield _pair(system, [[p[n] for p in units] for units in domain_p], mc, master)
+
+
 def system_sample_arrays(
     system: SystemSpec,
     grid_spec: Optional[GridSpec] = None,
@@ -357,14 +404,7 @@ def system_sample_arrays(
 ) -> List[np.ndarray]:
     """Per-pairing arrays of system-level samples p_L: the work units and
     pairings of `infer` without quadrature, with the same seeds and draws."""
-    system, grid_spec, mc, _ = validate(system, grid_spec, mc, None)
-    grid = build_grid(grid_spec)
-    master = RngState(mc.master_seed)
-    domain_p = [
-        _domain(domain, i, grid, mc, master, threads, lambda post, draws: draws.p)
-        for i, domain in enumerate(system.domains)
-    ]
-    return list(_pair(system, domain_p, mc, master))
+    return list(next(profile_samples([system], grid_spec, mc, threads)))
 
 
 def infer(

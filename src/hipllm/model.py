@@ -251,10 +251,9 @@ def validate(
     if not (0.0 < grid.nu_min < grid.nu_max):
         issues.append(("grid", f"need 0 < nu_min < nu_max, got [{grid.nu_min}, {grid.nu_max}]"))
 
-    if mc.samples_per_config < 1:
-        issues.append(("mc.samples_per_config", "must be >= 1"))
-    if mc.configs_per_domain < 1:
-        issues.append(("mc.configs_per_domain", "must be >= 1"))
+    for name in ("samples_per_config", "configs_per_domain"):
+        if not 1 <= getattr(mc, name) <= MAX_COUNT:
+            issues.append((f"mc.{name}", "must lie in [1, 2**53]"))
     if mc.pairing_cap < 1:
         issues.append(("mc.pairing_cap", "must be >= 1"))
     if mc.t_grid_size < 2:

@@ -225,11 +225,15 @@ class TestInfer:
             (("query", "horizons"), [1, 10**400]),
             (("hierarchy", "domains"), []),
             (("hierarchy", "domains", 0, "subdomains"), []),
+            (("mc", "samples_per_config"), 10**14),
+            (("mc", "configs_per_domain"), 10**23),
+            (("mc", "samples_per_config"), 2**53 + 1),
         ],
         ids=[
             "correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str",
             "horizons-int", "horizon-2**53+1", "horizon-10**400", "domains-empty",
-            "subdomains-empty",
+            "subdomains-empty", "samples-10**14-out-of-memory", "configs-10**23",
+            "samples-2**53+1",
         ],
     )
     def test_wrong_typed_value_exit_code(self, tmp_path, path, value):
@@ -472,6 +476,7 @@ class TestBenchCommand:
         ["synth", "--out", "OUT", "--small", "0,0,0,0"],
         ["synth", "--out", "OUT", "--noise", "1.5"],
         ["synth", "--out", "OUT", "--configs", "0"],
+        ["synth", "--out", "OUT", "--configs", f"{10**23}"],
         ["baseline", "--correct", "11", "--total", "10"],
         ["baseline", "--correct", "3", "--total", "10", "--horizons", "x"],
         ["baseline", "--correct", "3", "--total", "10", "--horizons", "-1"],
@@ -496,7 +501,7 @@ class TestBenchCommand:
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
         "synth-empty-domain", "synth-all-empty",
-        "synth-noise", "synth-zero-configs", "baseline-counts", "baseline-horizons",
+        "synth-noise", "synth-zero-configs", "synth-configs-10**23", "baseline-counts", "baseline-horizons",
         "baseline-negative-horizon", "baseline-alpha-range", "baseline-reversed-range",
         "baseline-lone-range", "baseline-prior-alpha", "baseline-prior-beta",
         "infer-zero-threads", "infer-negative-threads", "infer-negative-seed",
@@ -515,3 +520,11 @@ def test_malformed_command_line_value_exit_code(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects a value before main's handlers
         code = exc.code
     assert code == EXIT_CONFIG
+
+
+def test_out_of_memory_names_the_sizes(tmp_path, capsys):
+    # 10**14 draws fail to allocate at once: exit 2 with a message, no traceback
+    assert main(["synth", "--out", str(tmp_path / "o"), "--samples", f"{10**14}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "samples per config" in err
+    assert "Traceback" not in err

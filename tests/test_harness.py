@@ -1,12 +1,19 @@
 """Synthetic-study and scaling-harness tests."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hipllm.inference as inference
+from hipllm.baselines import BetaPosterior, bb_system_samples, informative_prior
 from hipllm.harness import (
+    BASELINE_SAMPLES,
+    INFORMATIVE_KAPPA,
     GroundTruth,
+    Rq5Row,
+    build_system,
     default_ground_truth,
     fit_power_law,
     generate_counts,
@@ -15,11 +22,38 @@ from hipllm.harness import (
     run_scaling_sweep,
     summarize_method,
 )
+from hipllm.inference import system_sample_arrays
 from hipllm.model import GridSpec, McSpec, default_box, default_grid, validate
-from hipllm.numerics import RngState
+from hipllm.numerics import RngState, derive_substream
 
 FAST_GRID = GridSpec(n_mu=16, n_nu=12)
 FAST_MC = McSpec(samples_per_config=500, configs_per_domain=16, master_seed=0, t_grid_size=101)
+TWO_REGIMES = {"small": (100, 500, 1000, 300), "large": (1000, 5000, 10000, 3000)}
+
+
+def rq5_rows_one_run_each(gt, regimes, noise, seed):
+    """`run_rq5`'s rows from one `system_sample_arrays` or
+    `bb_system_samples` call per (regime, scenario, method), with the seeds
+    keyed by (regime, method)."""
+    rows = []
+    for r_idx, (regime, sizes) in enumerate(regimes.items()):
+        regime_gt = replace(gt, sample_sizes=sizes)
+        counts = generate_counts(regime_gt, derive_substream(seed, (10, r_idx)))
+        priors = {
+            "bb-uninf": [BetaPosterior(1.0, 1.0)] * len(sizes),
+            "bb-inf": [informative_prior(th, INFORMATIVE_KAPPA) for th in regime_gt.theta],
+        }
+        for scenario, op in op_scenarios(regime_gt, noise, derive_substream(seed, (20, r_idx))).items():
+            system = build_system(regime_gt, counts, op)
+            for m_idx, method in enumerate([*priors, "hip-llm"]):
+                m_seed = derive_substream(seed, (30, r_idx, m_idx))
+                if method in priors:
+                    samples = [bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)]
+                else:
+                    samples = system_sample_arrays(system, FAST_GRID, replace(FAST_MC, master_seed=m_seed))
+                summary = summarize_method(method, samples, regime_gt.p_system)
+                rows.append(Rq5Row(regime=regime, scenario=scenario, summary=summary))
+    return rows
 
 
 class TestGroundTruth:
@@ -133,6 +167,22 @@ class TestRunRq5:
         for method, summaries in by_scenario.items():
             vals = list(summaries.values())
             assert vals[0] == vals[1] == vals[2]
+
+    def test_rows_match_one_run_per_scenario(self):
+        # sharing a regime's domain stage across the scenarios changes no row
+        gt = default_ground_truth()
+        rows = run_rq5(gt, TWO_REGIMES, noise=0.2, seed=5, grid=FAST_GRID, mc=FAST_MC)
+        assert len(rows) == 18
+        assert rows == rq5_rows_one_run_each(gt, TWO_REGIMES, noise=0.2, seed=5)
+
+    def test_domain_stage_runs_once_per_regime(self, monkeypatch):
+        calls = []
+        real = inference.sample_domain
+        monkeypatch.setattr(inference, "sample_domain", lambda *a: calls.append(a) or real(*a))
+        gt = default_ground_truth()
+        run_rq5(gt, TWO_REGIMES, seed=5, grid=FAST_GRID, mc=FAST_MC)
+        # regimes x domains x configs, not three times that
+        assert len(calls) == 2 * len(gt.domain_sizes) * FAST_MC.configs_per_domain
 
 
 class TestScaling:

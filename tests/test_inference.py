@@ -23,6 +23,7 @@ from hipllm.inference import (
     generate_configs,
     generate_pairings,
     infer,
+    profile_samples,
     sample_domain,
     sample_system,
     subdomain_marginal_cdf,
@@ -439,6 +440,61 @@ class TestSampleSystem:
         )
         with pytest.raises(ValueError):
             sample_system(sys_, (0, 0), [[np.zeros(10)], [np.zeros(20)]])
+
+
+def profile_system(omega=(0.4, 0.6), weights=(0.7, 0.3), correct=8, box=None, label="a"):
+    """Two domains, the first with two subdomains; the arguments set the
+    profile and the first domain's first count, box and label."""
+    first = DomainSpec(
+        (SubdomainData(correct, 20, "a1"), SubdomainData(15, 25, "a2")),
+        omega,
+        box if box is not None else default_box(),
+        label=label,
+    )
+    second = DomainSpec((SubdomainData(30, 40, "b1"),), (1.0,), default_box(), label="b")
+    return SystemSpec(domains=(first, second), domain_weights=weights)
+
+
+class TestProfileSamples:
+    GRID = GridSpec(n_mu=8, n_nu=6)
+    MC = McSpec(samples_per_config=300, configs_per_domain=5, pairing_cap=16, master_seed=21, t_grid_size=11)
+
+    def test_one_system_is_system_sample_arrays(self):
+        sys_ = profile_system()
+        (pairings,) = profile_samples([sys_], self.GRID, self.MC)
+        shared = list(pairings)
+        arrays = system_sample_arrays(sys_, self.GRID, self.MC)
+        assert len(shared) == len(arrays) == 16
+        for a, b in zip(shared, arrays):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_profile_matches_its_own_run(self, threads):
+        systems = [
+            profile_system(),
+            profile_system(omega=(0.9, 0.1), weights=(0.2, 0.8)),
+            profile_system(omega=(0.5, 0.5), weights=(0.5, 0.5)),
+        ]
+        for sys_, pairings in zip(systems, profile_samples(systems, self.GRID, self.MC, threads)):
+            arrays = system_sample_arrays(sys_, self.GRID, self.MC)
+            got = list(pairings)
+            assert len(got) == len(arrays)
+            for a, b in zip(got, arrays):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            profile_system(correct=9),
+            profile_system(box=point_box()),
+            profile_system(label="renamed"),
+            dataclasses.replace(profile_system(), domains=profile_system().domains[:1], domain_weights=(1.0,)),
+        ],
+        ids=["counts", "box", "label", "domains"],
+    )
+    def test_other_differences_rejected(self, other):
+        with pytest.raises(ValueError, match="op_weights and domain_weights"):
+            next(profile_samples([profile_system(), other], self.GRID, self.MC))
 
 
 class TestEnvelope:

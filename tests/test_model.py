@@ -176,6 +176,14 @@ def test_grid_and_mc_violations_reported_together():
     assert any("mc.t_grid_size" in p for p in paths)
 
 
+def test_monte_carlo_sizes_capped_at_2_53():
+    validate(make_system(), mc=McSpec(samples_per_config=2**53, configs_per_domain=2**53))
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(), mc=McSpec(samples_per_config=2**53 + 1, configs_per_domain=10**23))
+    paths = [path for path, _ in exc.value.issues]
+    assert paths == ["mc.samples_per_config", "mc.configs_per_domain"]
+
+
 def test_mismatched_weight_length():
     with pytest.raises(ValidationError) as exc:
         validate(make_system(om1=(1.0,)))
