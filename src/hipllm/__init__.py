@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .inference import (
     Band,
-    CdfEnvelope,
     InferenceReport,
     empirical_cdf,
     envelope,

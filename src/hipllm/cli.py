@@ -265,8 +265,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(
-            f"configuration error: {exc or 'out of memory'}; lower the Monte Carlo sizes"
-            " (samples per config, configs per domain, pairing cap, t grid size)",
+            f"configuration error: {exc or 'out of memory'}; lower the grid sizes (n_mu, n_nu)"
+            " or the Monte Carlo sizes (samples per config, configs per domain, pairing cap,"
+            " t grid size)",
             file=sys.stderr,
         )
         return EXIT_CONFIG

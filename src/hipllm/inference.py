@@ -15,8 +15,9 @@ stage, whose units keep one p per system, the draws under that system's
 within-domain weights, and let the subdomain draws go.
 
 The report is one table keyed (level, entity name): every subdomain,
-domain and the system has one band, the pointwise min-max of its members'
-rows, and the grid t and the horizons are stored once.
+domain and the system has one `Band`, which `envelope` makes as the
+pointwise min-max of its members' rows, and the grid t and the horizons
+are stored once.  `envelope` is the engine's only reducer.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -54,7 +55,6 @@ from .numerics import RngState, beta_cdf, sample_categorical
 
 __all__ = [
     "eval_grid",
-    "CdfEnvelope",
     "Band",
     "SampleSet",
     "InferenceReport",
@@ -98,18 +98,9 @@ def eval_grid(t_grid_size: int) -> np.ndarray:
 
 
 @dataclass
-class CdfEnvelope:
-    """Pointwise lower/upper CDF bounds over a family of member CDFs."""
-
-    t: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-@dataclass
 class Band:
     """One entity's CDF bounds on the report's t and its expected-reliability
-    bounds at the report's horizons."""
+    bounds at the report's horizons (empty where the members carry none)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -280,12 +271,17 @@ def sample_system(
     return sum(wi * p for wi, p in zip(w, slices))
 
 
-def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> CdfEnvelope:
-    """Pointwise min-max over a family of CDFs on a common grid."""
-    stack = np.asarray(members)
+def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> Band:
+    """Pointwise min-max over a family of member rows: each row is a CDF on
+    the grid t, then any expected-reliability values, which bound the
+    band's expected reliability (none for CDF-only rows)."""
+    stack, n = np.asarray(members), len(t)
     if stack.ndim != 2 or stack.shape[0] < 1:
-        raise ValueError("envelope requires at least one member CDF")
-    return CdfEnvelope(t=t, lower=stack.min(axis=0), upper=stack.max(axis=0))
+        raise ValueError("envelope requires at least one member row")
+    if stack.shape[1] < n:
+        raise ValueError(f"member rows hold {stack.shape[1]} values, fewer than the {n} of t")
+    lower, upper = stack.min(axis=0), stack.max(axis=0)
+    return Band(lower[:n], upper[:n], lower[n:], upper[n:])
 
 
 def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.ndarray:
@@ -425,17 +421,10 @@ def infer(
     master = RngState(mc.master_seed)
     horizons = tuple(query.horizons)
 
-    def bands(keys, blocks):
-        """(key, band) of each key from its members' (E, T + H) blocks of
-        CDF rows then reliability rows, for E keys, and the bytes of the
-        stacked rows."""
-        stack = np.array(list(blocks))
-        lower, upper = stack.min(axis=0), stack.max(axis=0)
-        n = t.size
-        return [
-            (key, Band(lo[:n], hi[:n], lo[n:], hi[n:]))
-            for key, lo, hi in zip(keys, lower, upper)
-        ], stack.nbytes
+    def row(cdf, samples):
+        """One member's row: its CDF on t, then E[x ** n] of its samples x
+        at each horizon n."""
+        return np.concatenate([cdf, expected_reliability(samples, horizons)])
 
     domain_p: List[List[np.ndarray]] = []
     subdomains, domains = [], []
@@ -445,30 +434,30 @@ def infer(
     for i, domain in enumerate(system.domains):
 
         def unit(post, draws):
-            """This config's rows, each subdomain's then the domain's: CDF,
-            then expected reliability; and its domain draws p."""
-            cdf = [subdomain_marginal_cdf(domain, j, post, t) for j in range(draws.theta.shape[1])]
-            cdf.append(empirical_cdf(draws.p, t))
-            rel = [expected_reliability(x, horizons) for x in (*draws.theta.T, draws.p)]
-            return np.hstack([cdf, rel]), draws.p
+            """This config's rows, each subdomain's then the domain's; and
+            its domain draws p."""
+            rows = [
+                row(subdomain_marginal_cdf(domain, j, post, t), theta)
+                for j, theta in enumerate(draws.theta.T)
+            ]
+            return rows + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
 
         units = _domain(domain, i, grid, mc, master, threads, unit)
         domain_p.append([p for _, p in units])
-        entries, nbytes = bands(entity_keys(domain, i), [rows for rows, _ in units])
+        # entity e's members: row e of every config
+        members = list(zip(*(rows for rows, _ in units)))
+        entries = [(key, envelope(rows, t)) for key, rows in zip(entity_keys(domain, i), members)]
         subdomains += entries[:-1]
         domains.append(entries[-1])
-        retained += sum(p.nbytes for p in domain_p[-1]) + nbytes
+        retained += sum(p.nbytes for p in domain_p[-1]) + sum(r.nbytes for rows in members for r in rows)
 
-    # one member per pairing, with a block of one row each
-    system_rows = (
-        np.hstack([empirical_cdf(p, t), expected_reliability(p, horizons)])[None]
-        for p in _pair(system, domain_p, mc, master)
-    )
-    top, nbytes = bands([("system", "system")], system_rows)
+    # one member per pairing
+    system_rows = [row(empirical_cdf(p, t), p) for p in _pair(system, domain_p, mc, master)]
+    top = (("system", "system"), envelope(system_rows, t))
     return InferenceReport(
         t=t,
         horizons=horizons,
-        bands=dict(subdomains + domains + top),
+        bands=dict(subdomains + domains + [top]),
         master_seed=mc.master_seed,
-        live_array_bytes=retained + nbytes,
+        live_array_bytes=retained + sum(r.nbytes for r in system_rows),
     )

@@ -43,6 +43,18 @@ EPS = float(np.finfo(float).eps)
 # likelihood's special functions take floats.
 MAX_COUNT = 2**53
 
+# (spec, field, least value) of every size field.  Each is at most
+# MAX_COUNT: numpy cannot shape an array much larger, and such a size
+# raises ValueError, not MemoryError, where it is first allocated.
+SIZE_FIELDS = (
+    ("grid", "n_mu", 1),
+    ("grid", "n_nu", 1),
+    ("mc", "samples_per_config", 1),
+    ("mc", "configs_per_domain", 1),
+    ("mc", "pairing_cap", 1),
+    ("mc", "t_grid_size", 2),
+)
+
 # Master seeds are 64-bit; the generator would alias any wider seed to one
 # inside the range.
 SEED_LIMIT = 2**64
@@ -246,18 +258,11 @@ def validate(
             _check_interval(rng, f"{dpath}.box.{name}_range", issues)
         new_domains.append(replace(dom, op_weights=ow))
 
-    if grid.n_mu < 1 or grid.n_nu < 1:
-        issues.append(("grid", "n_mu and n_nu must be >= 1"))
     if not (0.0 < grid.nu_min < grid.nu_max):
         issues.append(("grid", f"need 0 < nu_min < nu_max, got [{grid.nu_min}, {grid.nu_max}]"))
-
-    for name in ("samples_per_config", "configs_per_domain"):
-        if not 1 <= getattr(mc, name) <= MAX_COUNT:
-            issues.append((f"mc.{name}", "must lie in [1, 2**53]"))
-    if mc.pairing_cap < 1:
-        issues.append(("mc.pairing_cap", "must be >= 1"))
-    if mc.t_grid_size < 2:
-        issues.append(("mc.t_grid_size", "must be >= 2"))
+    for spec, name, least in SIZE_FIELDS:
+        if not least <= getattr(grid if spec == "grid" else mc, name) <= MAX_COUNT:
+            issues.append((f"{spec}.{name}", f"must lie in [{least}, 2**53]"))
     if not 0 <= mc.master_seed < SEED_LIMIT:
         issues.append(("mc.master_seed", "must lie in [0, 2**64)"))
 

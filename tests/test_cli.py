@@ -245,6 +245,25 @@ class TestInfer:
         cfg = write_config(tmp_path, doc)
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "path",
+        ["grid.n_mu", "grid.n_nu", "mc.samples_per_config", "mc.configs_per_domain", "mc.pairing_cap", "mc.t_grid_size"],
+    )
+    def test_size_beyond_2_53_exit_code(self, tmp_path, capsys, path):
+        section, name = path.split(".")
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc[section][name] = 10**20
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert path in capsys.readouterr().err
+
+    def test_grid_out_of_memory_names_grid_sizes(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["grid"]["n_nu"] = 10**13  # 73 TiB of nodes: numpy refuses at once
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "n_nu" in capsys.readouterr().err
+
     def test_count_beyond_float_range_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(DEGENERATE))
         doc["hierarchy"]["domains"][0]["subdomains"][0].update(correct=10**30 - 1, total=10**30)

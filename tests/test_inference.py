@@ -260,6 +260,22 @@ class TestSubdomainMarginalCdf:
         np.testing.assert_array_equal(vals[(t >= light_mean) & (t < 0.5)], QUAD_EPS / 2)
         assert vals[-1] == pytest.approx(1.0, abs=1e-15)
 
+    def test_grid_term_at_default_grid(self):
+        # MBPP in its gpt4o domain: the default 50x40 grid mixture against
+        # the 100x80 one over the 16 corner configs, 5.4e-4 when measured
+        dom = DomainSpec(
+            (SubdomainData(113, 257, "MBPP"), SubdomainData(490, 1000, "DS-1000")),
+            (0.204, 0.796),
+            default_box(),
+        )
+        t = eval_grid(201)
+        grids = [build_grid(GridSpec()), build_grid(GridSpec(n_mu=100, n_nu=80))]
+        sup = 0.0
+        for h in generate_configs(dom.box, 16, 0):
+            f, g = (subdomain_marginal_cdf(dom, 0, hyper_posterior(dom, h, grid), t) for grid in grids)
+            sup = max(sup, np.max(np.abs(f - g)))
+        assert sup <= 1e-3
+
     def test_unsorted_t_rejected(self):
         dom = one_subdomain_system().domains[0]
         post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), build_grid(POINT_GRID))
@@ -499,16 +515,27 @@ class TestProfileSamples:
 
 class TestEnvelope:
     def test_single_member(self):
+        # a CDF-only row gives zero-length expected bounds
         t = eval_grid(11)
         env = envelope([t], t)
         np.testing.assert_array_equal(env.lower, env.upper)
+        assert env.expected_lower.size == env.expected_upper.size == 0
 
     def test_ordered_members(self):
+        # rows longer than t split at t: the CDF bounds, then the expected bounds
         t = eval_grid(11)
         f, g = t ** 2, np.sqrt(t)
-        env = envelope([f, g], t)
+        env = envelope([np.append(f, [0.1, 0.3]), np.append(g, [0.2, 0.05])], t)
         np.testing.assert_array_equal(env.lower, f)
         np.testing.assert_array_equal(env.upper, g)
+        assert env.expected_lower.tolist() == [0.1, 0.05]
+        assert env.expected_upper.tolist() == [0.2, 0.3]
+
+    @pytest.mark.parametrize("n_members,length", [(0, 11), (2, 10), (1, 0)], ids=["none", "short", "empty"])
+    def test_rejected(self, n_members, length):
+        t = eval_grid(11)
+        with pytest.raises(ValueError):
+            envelope([t[:length]] * n_members, t)
 
     @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -657,6 +684,27 @@ class TestInfer:
             assert np.all((lo >= 0.0) & (hi <= 1.0))
             assert np.all(lo <= hi)
             assert np.all(np.diff(lo) <= 0.0) and np.all(np.diff(hi) <= 0.0)
+
+    def test_every_band_is_one_envelope_call(self, monkeypatch):
+        returned = []
+
+        def spy(members, t):
+            returned.append(envelope(members, t))
+            return returned[-1]
+
+        monkeypatch.setattr(inference, "envelope", spy)
+        dom = one_subdomain_system(c=30, n=40).domains[0]
+        dom2 = DomainSpec(
+            (SubdomainData(8, 20, "a"), SubdomainData(15, 25, "b")), (0.4, 0.6), default_box(), label="d2"
+        )
+        sys_ = SystemSpec(domains=(dom, dom2), domain_weights=(0.5, 0.5))
+        mc = McSpec(samples_per_config=100, configs_per_domain=3, master_seed=5, t_grid_size=11)
+        rep = infer(sys_, GridSpec(n_mu=4, n_nu=4), mc, ReliabilityQuery((1, 4)))
+        # 3 subdomains, 2 domains and the system
+        assert len(returned) == len(rep.bands) == 6
+        # domain by domain, so the calls list each domain before the next
+        # domain's subdomains
+        assert sorted(map(id, rep.bands.values())) == sorted(map(id, returned))
 
     def test_system_sample_arrays_matches_infer_seeds(self):
         sys_ = one_subdomain_system(c=30, n=40)

@@ -184,6 +184,23 @@ def test_monte_carlo_sizes_capped_at_2_53():
     assert paths == ["mc.samples_per_config", "mc.configs_per_domain"]
 
 
+SIZE_PATHS = [
+    "grid.n_mu", "grid.n_nu", "mc.samples_per_config", "mc.configs_per_domain", "mc.pairing_cap",
+    "mc.t_grid_size",
+]
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 10**20], ids=["2**53+1", "10**20"])
+@pytest.mark.parametrize("path", SIZE_PATHS)
+def test_size_beyond_2_53_rejected(path, value):
+    spec, name = path.split(".")
+    make = {"grid": GridSpec, "mc": McSpec}[spec]
+    validate(make_system(), **{spec: make(**{name: 2**53})})
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(), **{spec: make(**{name: value})})
+    assert [issue_path for issue_path, _ in exc.value.issues] == [path]
+
+
 def test_mismatched_weight_length():
     with pytest.raises(ValidationError) as exc:
         validate(make_system(om1=(1.0,)))
