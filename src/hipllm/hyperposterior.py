@@ -9,7 +9,7 @@ a midpoint/log-cell product grid and computes those weights in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,11 @@ class HyperGrid:
 
     mu nodes are midpoints of equal cells on (0,1); nu nodes are geometric
     midpoints of log-spaced cells, with linear (d nu) cell measures.
+
+    The node logs log(mu), log(1 - mu) and log(nu) that every config's prior
+    density needs are computed once, when the grid is made (after checking
+    0 < mu < 1 and nu > 0), and `dataclasses.replace` carries them into each
+    posterior.
     """
 
     mu: np.ndarray            # (G,) node values, mu varies fastest
@@ -47,6 +52,16 @@ class HyperGrid:
     log_measure: np.ndarray   # (G,) log of mu-width * nu-width
     weights: Optional[np.ndarray] = None      # (G,) posterior mass, sums to 1
     log_evidence: Optional[float] = None      # log Pr(counts | config)
+    log_mu: Optional[np.ndarray] = field(default=None, repr=False)    # (G,) log(mu)
+    log1m_mu: Optional[np.ndarray] = field(default=None, repr=False)  # (G,) log1p(-mu)
+    log_nu: Optional[np.ndarray] = field(default=None, repr=False)    # (G,) log(nu)
+
+    def __post_init__(self):
+        if self.log_mu is None:
+            if np.any(self.mu <= 0.0) or np.any(self.mu >= 1.0) or np.any(self.nu <= 0.0):
+                raise DomainError("grid nodes need 0 < mu < 1 and nu > 0")
+            self.log_mu, self.log1m_mu = np.log(self.mu), np.log1p(-self.mu)
+            self.log_nu = np.log(self.nu)
 
     @property
     def size(self) -> int:
@@ -80,14 +95,13 @@ def log_prior_density(mu, nu, h: HyperConfig):
         raise DomainError("log_prior_density requires 0 < mu < 1")
     if np.any(nu_a <= 0.0):
         raise DomainError("log_prior_density requires nu > 0")
-    log_beta_part = (
-        (h.a - 1.0) * np.log(mu_a)
-        + (h.b - 1.0) * np.log1p(-mu_a)
-        - sp.betaln(h.a, h.b)
-    )
-    log_gamma_part = (
-        h.c * np.log(h.d) - sp.gammaln(h.c) + (h.c - 1.0) * np.log(nu_a) - h.d * nu_a
-    )
+    return _log_prior(np.log(mu_a), np.log1p(-mu_a), np.log(nu_a), nu_a, h)
+
+
+def _log_prior(log_mu, log1m_mu, log_nu, nu, h: HyperConfig):
+    """`log_prior_density` from the node logs log(mu), log(1 - mu), log(nu)."""
+    log_beta_part = (h.a - 1.0) * log_mu + (h.b - 1.0) * log1m_mu - sp.betaln(h.a, h.b)
+    log_gamma_part = h.c * np.log(h.d) - sp.gammaln(h.c) + (h.c - 1.0) * log_nu - h.d * nu
     return log_beta_part + log_gamma_part
 
 
@@ -131,7 +145,8 @@ def hyper_posterior(
     """
     if log_lik is None:
         log_lik = log_marginal_likelihood_grid(domain, grid)
-    log_w = log_lik + log_prior_density(grid.mu, grid.nu, h) + grid.log_measure
+    log_prior = _log_prior(grid.log_mu, grid.log1m_mu, grid.log_nu, grid.nu, h)
+    log_w = log_lik + log_prior + grid.log_measure
     m = np.max(log_w)
     if not np.isfinite(m):
         raise NumericalError(f"all grid log-weights non-finite (max={m!r})")

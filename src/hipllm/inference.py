@@ -215,16 +215,17 @@ def sample_domain(
     Each draw picks a grid cell from the posterior weights, then draws every
     subdomain accuracy from its conditional Beta, then aggregates with the
     within-domain operational weights.  The cells come from substream 0 and
-    subdomain j's Beta draws from substream j + 1.
+    subdomain j's Beta draws from substream j + 1.  The Beta parameters are
+    computed once per grid cell and gathered by the drawn cells.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
     cells = sample_categorical(rng.substream(0), post.weights, size=s)
-    mu, nu = post.mu[cells], post.nu[cells]
+    a0, b0 = post.mu * post.nu, (1.0 - post.mu) * post.nu
     theta = np.empty((s, len(domain.subdomains)))
     for j, sub in enumerate(domain.subdomains):
-        alpha = sub.correct + mu * nu
-        beta = sub.total - sub.correct + (1.0 - mu) * nu
+        alpha = (sub.correct + a0)[cells]
+        beta = (sub.total - sub.correct + b0)[cells]
         theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
     p = theta @ np.asarray(domain.op_weights)
     return SampleSet(theta=theta, p=p)

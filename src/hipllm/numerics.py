@@ -84,7 +84,15 @@ class RngState:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        """The stream's generator, built on first use: a state that only
+        derives substreams builds none."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return self._gen
 
     def substream(self, *path: int) -> "RngState":
         return RngState(derive_substream(self.seed, path))
@@ -94,16 +102,47 @@ class RngState:
 
 
 def sample_categorical(rng: RngState, weights, size=None):
-    """Draw indices with the given probabilities.
+    """Draw indices with the given probabilities: index i for a uniform u
+    in [cum[i - 1], cum[i]), cum the cumulative weights with cum[-1] = 1,
+    i.e. `np.searchsorted(cum, u, side="right")`.
 
-    Weights must be nonnegative and sum to 1 within 1e-9.
+    Weights must be finite, nonnegative and sum to 1 within 1e-9.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) finds
+    most indices in O(1) and gives exactly the same ones.  With m the power
+    of two >= 4G for G weights, u * m and cum * m are exact (u is a multiple
+    of 2**-53 below 1), so a draw's bucket b = floor(u * m) and each entry's
+    bucket floor(cum[i] * m) are exact: every cum[i] in a bucket below b is
+    <= u and every one in a bucket above b is > u.  A draw whose bucket holds
+    no cum[i] therefore gets the count of the entries below its bucket; the
+    draws whose bucket holds one, at most G / m <= 1/4 of them in
+    expectation, go through `np.searchsorted`.
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0):
         raise DomainError("categorical weights must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise DomainError(f"categorical weights sum to {w.sum()!r}, not 1 within 1e-9")
+    total = w.sum()
+    # written so that a nan or infinite sum fails it too
+    if not abs(total - 1.0) <= 1e-9:
+        raise DomainError(f"categorical weights sum to {total!r}, not 1 within 1e-9")
     cum = np.cumsum(w)
+    np.minimum(cum, 1.0, out=cum)  # moves no index: no u reaches 1
     cum[-1] = 1.0
+    m = 1 << (4 * w.size - 1).bit_length()
+    cum *= m  # exact: the cumulative weights in bucket units, 0 to m
+    edges = cum.astype(np.intp)
+    # guide[b] counts the cum[i] in buckets below b: the index of every draw
+    # in bucket b when b holds no cum[i], and -1 when it holds some.  Its
+    # type is the smallest that holds -1 and G - 1, which keeps it in cache.
+    steps = np.empty_like(edges)
+    steps[0] = edges[0] + 1
+    np.subtract(edges[1:], edges[:-1], out=steps[1:])
+    guide = np.repeat(np.arange(w.size, dtype=np.min_scalar_type(-w.size)), steps)
+    guide[edges] = -1
     u = rng.gen.random(size=size)
-    return np.searchsorted(cum, u, side="right")
+    scaled = np.ravel(u)
+    scaled *= m  # exact, like cum
+    idx = guide[scaled.astype(np.intp)].astype(np.intp)
+    mixed = np.flatnonzero(idx < 0)
+    idx[mixed] = np.searchsorted(cum, scaled[mixed], side="right")
+    return idx.reshape(np.shape(u))[()]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hipllm.hyperposterior import (
+    HyperGrid,
     build_grid,
     hyper_posterior,
     log_marginal_likelihood,
@@ -19,6 +20,7 @@ from hipllm.model import (
     default_box,
     default_grid,
 )
+from hipllm.numerics import DomainError
 
 
 def one_subdomain_domain(c, n):
@@ -46,6 +48,21 @@ class TestBuildGrid:
         g = build_grid(default_grid())
         assert g.size == 2000
         assert g.mu.size == g.nu.size == g.log_measure.size == default_grid().size
+
+    def test_node_logs_computed_once(self):
+        g = build_grid(default_grid())
+        np.testing.assert_array_equal(g.log_mu, np.log(g.mu))
+        np.testing.assert_array_equal(g.log1m_mu, np.log1p(-g.mu))
+        np.testing.assert_array_equal(g.log_nu, np.log(g.nu))
+        post = hyper_posterior(one_subdomain_domain(3, 10), HyperConfig(2, 3, 4, 5), g)
+        assert post.log_mu is g.log_mu and post.log1m_mu is g.log1m_mu and post.log_nu is g.log_nu
+
+    @pytest.mark.parametrize(
+        "mu,nu", [([0.5, 0.0], [1.0, 1.0]), ([0.5, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, 0.0])]
+    )
+    def test_nodes_outside_domain_rejected(self, mu, nu):
+        with pytest.raises(DomainError):
+            HyperGrid(mu=np.array(mu), nu=np.array(nu), log_measure=np.zeros(2))
 
 
 class TestLogPriorDensity:

@@ -5,14 +5,22 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 import hipllm.inference as inference
-from hipllm.hyperposterior import HyperGrid, build_grid, hyper_posterior
+from hipllm.config import parse_config
+from hipllm.hyperposterior import (
+    HyperGrid,
+    build_grid,
+    hyper_posterior,
+    log_marginal_likelihood_grid,
+)
 from hipllm.inference import (
     QUAD_BLOCK,
     QUAD_EPS,
@@ -53,6 +61,8 @@ def dense_cdf(post, correct, total, t):
     alpha, beta = dense_shapes(post, correct, total)
     return post.weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
 
+
+GPT4O_CONFIG = Path(__file__).parent.parent / "configs" / "gpt4o_mini.json"
 
 # single-node grid whose unique cell sits at (mu=0.5, nu=2)
 POINT_GRID = GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0)
@@ -372,6 +382,79 @@ class TestSampleDomain:
             means.append(sl.theta[:, 0].mean())
         se = 1.0 / math.sqrt(12 * s)  # crude bound on the SE of a [0,1] mean
         assert means[1] - means[0] > 3 * se
+
+
+class TestWorkUnitIdentity:
+    """A work unit's posterior and draws equal, bit for bit, the formulas
+    they are computed from: the prior from fresh node logs, the cells by
+    binary search, the Beta parameters from the gathered mu and nu."""
+
+    @staticmethod
+    def reference_posterior(h, grid, log_lik):
+        mu, nu = grid.mu, grid.nu
+        log_beta_part = (
+            (h.a - 1.0) * np.log(mu) + (h.b - 1.0) * np.log1p(-mu) - sp.betaln(h.a, h.b)
+        )
+        log_gamma_part = (
+            h.c * np.log(h.d) - sp.gammaln(h.c) + (h.c - 1.0) * np.log(nu) - h.d * nu
+        )
+        log_w = log_lik + (log_beta_part + log_gamma_part) + grid.log_measure
+        m = np.max(log_w)
+        w = np.exp(log_w - m)
+        z = w.sum()
+        return w / z, float(m + np.log(z))
+
+    @staticmethod
+    def reference_draws(domain, post, s, rng):
+        cum = np.cumsum(post.weights)
+        cum[-1] = 1.0
+        cells = np.searchsorted(cum, rng.substream(0).gen.random(size=s), side="right")
+        mu, nu = post.mu[cells], post.nu[cells]
+        theta = np.empty((s, len(domain.subdomains)))
+        for j, sub in enumerate(domain.subdomains):
+            alpha = sub.correct + mu * nu
+            beta = sub.total - sub.correct + (1.0 - mu) * nu
+            theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
+        return theta, theta @ np.asarray(domain.op_weights)
+
+    def test_gpt4o_corners_and_interior(self):
+        # both gpt4o domains, their 16 corner configs and 8 interior ones
+        system = parse_config(GPT4O_CONFIG).system
+        grid = build_grid(GridSpec())
+        master = RngState(20250817)
+        for i, dom in enumerate(system.domains):
+            log_lik = log_marginal_likelihood_grid(dom, grid)
+            configs = generate_configs(dom.box, 24, master.substream(1, i).seed)
+            for k, h in enumerate(configs):
+                post = hyper_posterior(dom, h, grid, log_lik=log_lik)
+                weights, log_evidence = self.reference_posterior(h, grid, log_lik)
+                np.testing.assert_array_equal(post.weights, weights)
+                assert post.log_evidence == log_evidence
+                rng = master.substream(2, i, k)
+                draws = sample_domain(dom, post, 3000, rng)
+                theta, p = self.reference_draws(dom, post, 3000, rng)
+                np.testing.assert_array_equal(draws.theta, theta)
+                np.testing.assert_array_equal(draws.p, p)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_generators_built_per_domain_stage(self, monkeypatch, k, threads):
+        # each unit draws cells from one substream and each subdomain's Beta
+        # accuracies from one more; its own state only derives substreams
+        dom = parse_config(GPT4O_CONFIG).system.domains[0]
+        grid = build_grid(GridSpec(n_mu=10, n_nu=8))
+        mc = McSpec(samples_per_config=50, configs_per_domain=k)
+        master = RngState(mc.master_seed)
+        built = []
+        real = np.random.PCG64
+
+        def counting(seed=None):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        inference._domain(dom, 0, grid, mc, master, threads, lambda post, draws: None)
+        assert len(built) == k * (len(dom.subdomains) + 1)
 
 
 class TestEmpiricalCdf:
