@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_seed, default=None, help="override master seed")
         p.add_argument(
-            "--threads", type=_threads, default=1, help="worker threads (speed only)"
+            "--threads", type=_threads, default=1, help="workers over blocks of 16 configs (speed only)"
         )
         p.add_argument("--svg", action="store_true", help="also emit SVG bands")
 

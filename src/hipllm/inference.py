@@ -1,18 +1,22 @@
 """The imprecise-inference engine.
 
-Each domain draws K hyperparameter configurations from its admissible box.
-One work unit per (domain, config) computes the config's grid
-hyper-posterior over (mu, nu) and its Monte Carlo draws of the subdomain
-accuracies and the domain aggregate p, and reduces them where they are
-made: `infer` to one row per entity (each subdomain, then the domain):
-its CDF on the evaluation grid (quadrature for a subdomain, empirical for
-the domain), then its expected reliability at every horizon.  Only p
-outlives the unit; capped cross-domain config pairings combine it into the
-system aggregate p_L, one pairing at a time, which `infer` reduces to one
-such row in turn and `system_sample_arrays` returns.  `profile_samples`
-serves systems that differ only in their operational profiles: one domain
-stage, whose units keep one p per system, the draws under that system's
-within-domain weights, and let the subdomain draws go.
+Each domain draws K hyperparameter configurations from its admissible box
+and walks them in blocks of CONFIG_BLOCK; one work unit per (domain, block)
+computes each config's grid hyper-posterior over (mu, nu) and its Monte
+Carlo draws of the subdomain accuracies and the domain aggregate p, and
+reduces them where they are made: `infer` to one row per entity (each
+subdomain, then the domain): its CDF on the evaluation grid (quadrature
+for a subdomain, empirical for the domain), then its expected reliability
+at every horizon.  The block shares one quadrature per subdomain, which
+evaluates each (cell, t) Beta CDF once for all its configs, and keeps only
+its configs' posterior weights for it; the draws are made one config at a
+time after it.  Only p outlives the unit; capped cross-domain config
+pairings combine it into the system aggregate p_L, one pairing at a time,
+which `infer` reduces to one such row in turn and `system_sample_arrays`
+returns.  `profile_samples` serves systems that differ only in their
+operational profiles: one domain stage without quadrature, whose units keep
+one p per system, the draws under that system's within-domain weights, and
+let the subdomain draws go.
 
 The report is one table keyed (level, entity name): every subdomain,
 domain and the system has one `Band`, which `envelope` makes as the
@@ -75,6 +79,11 @@ __all__ = [
 # in-window Beta-CDF evaluations, so its eight or so flat per-evaluation
 # arrays take about the bytes of one (QUAD_BLOCK, T) matrix.
 QUAD_BLOCK = 256
+
+# Configs per work unit: a block's quadrature evaluates each (cell, t) once
+# for all its configs.  Block 0 is the box's 16 corners, which
+# `generate_configs` places first.
+CONFIG_BLOCK = 16
 
 # Bound on the quadrature's error against the full grid mixture: each of
 # the G cells may drop QUAD_EPS / G of it outside its window.
@@ -152,44 +161,59 @@ def subdomain_marginal_cdf(
     domain: DomainSpec, j: int, post: HyperGrid, t: np.ndarray
 ) -> np.ndarray:
     """Deterministic quadrature CDF of one subdomain accuracy on the
-    ascending grid t in [0, 1].
+    ascending grid t in [0, 1], for one posterior or a block of them.
 
     Mixture over the G grid cells of conditional Beta CDFs
     I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights w.
+    `post.weights` is (G,), giving a (T,) CDF, or (B, G), one row per
+    config of a block, giving (B, T): the rows share the grid, so a cell's
+    conditional Beta, and its CDF values, are the same for all of them.
 
     Beta(alpha, beta) is sub-Gaussian with variance proxy
     1/(4(alpha + beta + 1)) (Marchal & Arbel 2017), so its CDF is at most
     eps below mean - h and at least 1 - eps from mean + h on, where
-    h = sqrt(ln(1/eps) / (2(alpha + beta + 1))).  Each cell gets the tail
-    budget eps = QUAD_EPS / (G w), is evaluated only at the t inside its
-    window [mean - h, mean + h) and is taken as 0 below it and 1 above it.
-    A cell with G w <= QUAD_EPS gets h = 0: a step at its mean, with no
-    evaluation.  Either way a cell errs by at most w * min(1, eps) <=
-    QUAD_EPS / G, so the result differs from the full (cells, T) mat-vec by
-    at most QUAD_EPS = 1e-12 plus rounding.
+    h = sqrt(ln(1/eps) / (2(alpha + beta + 1))).  Under weight w a cell gets
+    the tail budget eps = QUAD_EPS / (G w) and the window [mean - h,
+    mean + h), which widens as w grows.  The cell is evaluated once at each
+    t inside the union of its rows' windows, the window of its largest
+    weight, and taken as 0 below it and 1 above it in every row.  A cell
+    with G w <= QUAD_EPS in every row gets h = 0: a step at its mean, with
+    no evaluation.  Either way a cell errs in a row by at most
+    w * min(1, eps) <= QUAD_EPS / G, so each row differs from its full
+    (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding.  (G,)
+    weights give the same values, bit for bit, as the (1, G) block.
+
+    The evaluations run in chunks of QUAD_BLOCK * T // 8 // B, so a
+    chunk's (B, evaluations) products take the bytes of a one-row chunk.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
     t = np.asarray(t, dtype=float)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
         raise ValueError("quadrature t must ascend within [0, 1]")
-    w = post.weights
+    w = np.atleast_2d(post.weights)
+    (n_rows, n_cells), n_t = w.shape, t.size
     sub = domain.subdomains[j]
     alpha = sub.correct + post.mu * post.nu
     beta = sub.total - sub.correct + (1.0 - post.mu) * post.nu
     # each cell's window [lo, hi) of t indices: its mean -/+ h for the tail
-    # budget QUAD_EPS / (G w), empty where G w <= QUAD_EPS
-    h = np.sqrt(np.log(np.maximum(w.size * w / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
+    # budget QUAD_EPS / (G w) of its largest weight w, so the union of its
+    # rows' windows; empty where G w <= QUAD_EPS
+    w_max = w.max(axis=0)
+    h = np.sqrt(np.log(np.maximum(n_cells * w_max / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
     mean = alpha / (alpha + beta)
     lo, hi = np.searchsorted(t, [mean - h, mean + h])
+    # row r's bins are r * width .. r * width + width - 1 of one flat bincount
+    row = np.arange(n_rows)[:, None]
     # a cell adds its whole weight at every t past its window
-    cdf = np.cumsum(np.bincount(hi, weights=w, minlength=t.size + 1)[: t.size])
+    past = np.bincount((row * (n_t + 1) + hi).ravel(), weights=w.ravel(), minlength=n_rows * (n_t + 1))
+    cdf = np.cumsum(past.reshape(n_rows, n_t + 1)[:, :n_t], axis=1)
     # cell c's flat evaluations are starts[c] <= e < ends[c]; e sits at t
     # index e - shift[c]
     ends = np.cumsum(hi - lo)
     starts, shift = ends - (hi - lo), ends - hi
-    del h, mean, lo, hi  # freed before the blocks: keeps the measured peak down
-    evals, budget = int(ends[-1]), QUAD_BLOCK * t.size // 8
+    del w_max, h, mean, lo, hi, past  # freed before the blocks: keeps the measured peak down
+    evals, budget = int(ends[-1]), QUAD_BLOCK * n_t // 8 // n_rows
     firsts = np.arange(0, evals, budget)
     lasts = np.minimum(firsts + budget, evals)
     # each block's cell range [c0, c1): the cells of its first and last evaluation
@@ -200,8 +224,9 @@ def subdomain_marginal_cdf(
         count = np.minimum(ends[c0:c1], last) - np.maximum(starts[c0:c1], first)
         c = np.repeat(np.arange(c0, c1), count)
         k = np.arange(first, last) - shift[c]
-        cdf += np.bincount(k, weights=w[c] * beta_cdf(t[k], alpha[c], beta[c]), minlength=t.size)
-    return cdf
+        mixed = w[:, c] * beta_cdf(t[k], alpha[c], beta[c])
+        cdf += np.bincount((row * n_t + k).ravel(), weights=mixed.ravel(), minlength=n_rows * n_t).reshape(n_rows, n_t)
+    return cdf.reshape(np.shape(post.weights)[:-1] + (n_t,))
 
 
 def sample_domain(
@@ -322,21 +347,42 @@ def _map(fn, n: int, threads: int) -> list:
         return list(ex.map(fn, range(n)))
 
 
-def _domain(domain, i, grid, mc, master, threads, unit) -> list:
-    """Domain i's K work units, one per config: the config's grid posterior
-    and its Monte Carlo draws on substream (samples, i, k), handed to
-    `unit(post, draws)`.  Returns the units' results in config order."""
+def _domain(domain, i, grid, mc, master, threads, unit, quadrature=None) -> list:
+    """Domain i's K configs, walked in blocks of CONFIG_BLOCK; a block is one
+    work unit of the pool.  A block makes its configs' grid posteriors one
+    at a time.  With `quadrature`, it keeps their weights as one (B, G)
+    array, dropping each posterior once copied, and calls
+    `quadrature(block)` once on the grid carrying those weights; its result
+    holds one entry per config.  Then each config's Monte Carlo draws on
+    substream (samples, i, k) are made and handed, with the config's
+    posterior and its quadrature entry (None without `quadrature`), to
+    `unit(post, draws, quad)` one config at a time.  Returns the units'
+    results in config order."""
     configs = generate_configs(
         domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
     )
     log_lik = log_marginal_likelihood_grid(domain, grid)
 
-    def work(k):
-        post = hyper_posterior(domain, configs[k], grid, log_lik=log_lik)
-        rng = master.substream(_STAGE_SAMPLES, i, k)
-        return unit(post, sample_domain(domain, post, mc.samples_per_config, rng))
+    def posterior(k):
+        return hyper_posterior(domain, configs[k], grid, log_lik=log_lik)
 
-    return _map(work, len(configs), threads)
+    def work(n):
+        ks = range(len(configs))[n * CONFIG_BLOCK : (n + 1) * CONFIG_BLOCK]
+        if quadrature is None:
+            posts, quads = map(posterior, ks), itertools.repeat(None)
+        else:
+            weights = np.empty((len(ks), grid.mu.size))
+            for b, k in enumerate(ks):
+                weights[b] = posterior(k).weights
+            quads = quadrature(replace(grid, weights=weights))
+            posts = (replace(grid, weights=w) for w in weights)
+        return [
+            unit(post, sample_domain(domain, post, mc.samples_per_config, master.substream(_STAGE_SAMPLES, i, k)), quad)
+            for k, post, quad in zip(ks, posts, quads)
+        ]
+
+    blocks = _map(work, math.ceil(len(configs) / CONFIG_BLOCK), threads)
+    return [result for block in blocks for result in block]
 
 
 def _pair(system, domain_p, mc, master) -> Iterator[np.ndarray]:
@@ -367,6 +413,8 @@ def profile_samples(
     weights.  Each system's pairings are made one at a time as the caller
     iterates.
     """
+    if not systems:
+        raise ValueError("profile_samples needs at least one system; the system list is empty")
     checked = [validate(system, grid_spec, mc, None) for system in systems]
     systems = [system for system, _, _, _ in checked]
     _, grid_spec, mc, _ = checked[0]
@@ -384,7 +432,7 @@ def profile_samples(
     domain_p = [
         _domain(
             domain, i, grid, mc, master, threads,
-            lambda post, draws, i=i: [draws.p]
+            lambda post, draws, _, i=i: [draws.p]
             + [draws.theta @ np.asarray(s.domains[i].op_weights) for s in systems[1:]],
         )
         for i, domain in enumerate(systems[0].domains)
@@ -434,16 +482,17 @@ def infer(
 
     for i, domain in enumerate(system.domains):
 
-        def unit(post, draws):
+        def quadrature(block):
+            """Each config's subdomain CDFs: one (B, T) quadrature per subdomain."""
+            return list(zip(*(subdomain_marginal_cdf(domain, j, block, t) for j in range(len(domain.subdomains)))))
+
+        def unit(post, draws, cdfs):
             """This config's rows, each subdomain's then the domain's; and
             its domain draws p."""
-            rows = [
-                row(subdomain_marginal_cdf(domain, j, post, t), theta)
-                for j, theta in enumerate(draws.theta.T)
-            ]
+            rows = [row(cdf, theta) for cdf, theta in zip(cdfs, draws.theta.T)]
             return rows + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
 
-        units = _domain(domain, i, grid, mc, master, threads, unit)
+        units = _domain(domain, i, grid, mc, master, threads, unit, quadrature)
         domain_p.append([p for _, p in units])
         # entity e's members: row e of every config
         members = list(zip(*(rows for rows, _ in units)))

@@ -22,6 +22,7 @@ from hipllm.hyperposterior import (
     log_marginal_likelihood_grid,
 )
 from hipllm.inference import (
+    CONFIG_BLOCK,
     QUAD_BLOCK,
     QUAD_EPS,
     empirical_cdf,
@@ -313,6 +314,105 @@ class TestSubdomainMarginalCdf:
         assert peak < 3 * QUAD_BLOCK * t.size * 8
 
 
+def gpt4o_blocks(k=24):
+    """Each gpt4o domain with its first k configs' posteriors on the default
+    grid, cut into blocks of CONFIG_BLOCK: (domain, [(B, G) weights, ...])."""
+    system = parse_config(GPT4O_CONFIG).system
+    grid = build_grid(GridSpec())
+    out = []
+    for i, dom in enumerate(system.domains):
+        log_lik = log_marginal_likelihood_grid(dom, grid)
+        configs = generate_configs(dom.box, k, RngState(20250817).substream(1, i).seed)
+        weights = np.array([hyper_posterior(dom, h, grid, log_lik=log_lik).weights for h in configs])
+        out.append((dom, grid, [weights[n : n + CONFIG_BLOCK] for n in range(0, k, CONFIG_BLOCK)]))
+    return out
+
+
+class TestConfigBlocks:
+    T = eval_grid(201)
+
+    def test_block_rows_match_single_calls(self):
+        # gpt4o's 16 corners, then a partial block of 8 interior configs.
+        # A single call leaves up to 1.02e-14 of a corner's BoolQ row outside
+        # that config's own windows, and the block's wider union windows
+        # reach the grid mixture within 1.0e-15, so each row is held to the
+        # mixture and the block's band to the single calls' band.
+        for dom, grid, blocks in gpt4o_blocks():
+            for weights in blocks:
+                for j, sub in enumerate(dom.subdomains):
+                    rows = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=weights), self.T)
+                    assert rows.shape == (len(weights), self.T.size)
+                    singles = []
+                    for w, got in zip(weights, rows):
+                        post = dataclasses.replace(grid, weights=w)
+                        singles.append(subdomain_marginal_cdf(dom, j, post, self.T))
+                        mixture = dense_cdf(post, sub.correct, sub.total, self.T)
+                        # well inside QUAD_EPS
+                        assert np.max(np.abs(got - mixture)) <= 1e-14
+                    # the subdomain's band over the block moves by at most 1e-14
+                    for bound in (np.min, np.max):
+                        assert np.max(np.abs(bound(rows, axis=0) - bound(singles, axis=0))) <= 1e-14
+
+    def test_one_row_block_is_the_single_call(self):
+        for dom, grid, blocks in gpt4o_blocks(k=4):
+            for j in range(len(dom.subdomains)):
+                for w in blocks[0]:
+                    single = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w), self.T)
+                    block = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w[None, :]), self.T)
+                    assert single.shape == (self.T.size,) and block.shape == (1, self.T.size)
+                    np.testing.assert_array_equal(block[0], single)
+
+    def test_union_of_windows_evaluated_once(self, monkeypatch):
+        # the corners of code-generation's MBPP: each (cell, t) inside the
+        # widest window any corner gives the cell is evaluated exactly once
+        dom, grid, blocks = gpt4o_blocks(k=CONFIG_BLOCK)[0]
+        weights, sub, t = blocks[0], dom.subdomains[0], self.T
+        seen, rows = [], []
+
+        def spy(tk, a, b):
+            seen.append(np.column_stack([a, b, tk]))
+            rows.append(len(a))
+            return beta_cdf(tk, a, b)
+
+        monkeypatch.setattr(inference, "beta_cdf", spy)
+        subdomain_marginal_cdf(dom, 0, dataclasses.replace(grid, weights=weights), t)
+        alpha, beta = dense_shapes(grid, sub.correct, sub.total)
+        mean = alpha / (alpha + beta)
+        # each config's own window, then the union over the block
+        h = np.sqrt(np.log(np.maximum(weights.shape[1] * weights / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
+        lo = np.searchsorted(t, mean - h).min(axis=0)
+        hi = np.searchsorted(t, mean + h).max(axis=0)
+        expected = np.array([(alpha[c], beta[c], t[k]) for c in range(alpha.size) for k in range(lo[c], hi[c])])
+        got = np.concatenate(seen)
+        assert len(got) == len(expected) > 0
+        order = lambda x: x[np.lexsort(x.T[::-1])]
+        np.testing.assert_array_equal(order(got), order(expected))
+        assert max(rows) <= QUAD_BLOCK * t.size // 8
+        # the block's (B, evaluations) products stay the size of one
+        # single-config block
+        assert max(rows) * len(weights) <= QUAD_BLOCK * t.size // 8
+
+    @pytest.mark.parametrize("k", [1, CONFIG_BLOCK, CONFIG_BLOCK + 1, 2 * CONFIG_BLOCK + 1])
+    def test_partial_blocks_thread_invariant(self, k):
+        sys_ = profile_system()
+        mc = McSpec(samples_per_config=200, configs_per_domain=k, pairing_cap=64, master_seed=17, t_grid_size=51)
+        grid, query = GridSpec(n_mu=10, n_nu=8), ReliabilityQuery((1, 5))
+        rep1 = infer(sys_, grid, mc, query, threads=1)
+        rep3 = infer(sys_, grid, mc, query, threads=3)
+        assert rep1.bands.keys() == rep3.bands.keys()
+        for key, band in rep1.bands.items():
+            for a, b in zip(dataclasses.astuple(band), dataclasses.astuple(rep3.bands[key])):
+                np.testing.assert_array_equal(a, b)
+        # the draws are those of the sampling stage alone
+        arrays = system_sample_arrays(sys_, grid, mc)
+        rebuilt = envelope(
+            [np.concatenate([empirical_cdf(p, rep1.t), expected_reliability(p, query.horizons)]) for p in arrays],
+            rep1.t,
+        )
+        for a, b in zip(dataclasses.astuple(rep1.bands[("system", "system")]), dataclasses.astuple(rebuilt)):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestSampleDomain:
     def test_single_subdomain_identity(self):
         dom = one_subdomain_system().domains[0]
@@ -453,7 +553,7 @@ class TestWorkUnitIdentity:
             return real(seed)
 
         monkeypatch.setattr(np.random, "PCG64", counting)
-        inference._domain(dom, 0, grid, mc, master, threads, lambda post, draws: None)
+        inference._domain(dom, 0, grid, mc, master, threads, lambda post, draws, quad: None)
         assert len(built) == k * (len(dom.subdomains) + 1)
 
 
@@ -580,6 +680,10 @@ class TestProfileSamples:
             assert len(got) == len(arrays)
             for a, b in zip(got, arrays):
                 np.testing.assert_array_equal(a, b)
+
+    def test_empty_system_list_rejected(self):
+        with pytest.raises(ValueError, match="system list is empty"):
+            next(profile_samples([], self.GRID, self.MC))
 
     @pytest.mark.parametrize(
         "other",
