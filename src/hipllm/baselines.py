@@ -57,7 +57,11 @@ def bb_expected_future_reliability(post: BetaPosterior, n_f: int) -> float:
 
     Equals B(alpha + n_F, beta) / B(alpha, beta); evaluated as the exact
     telescoping product prod_k (alpha + k) / (alpha + beta + k) at small
-    horizons.
+    horizons, within 1e-12 relative of it up to n_F = 10,000.  Beyond, it is
+    the exp of a log-Beta difference, whose rounding grows with n_F and
+    beta: against mpmath it measured 1.2e-11 to 4.7e-11 relative at
+    n_F = 10,001, 1.7e-10 at n_F = 10**6 for Beta(1.5, 2.5), and at most
+    9.7e-9 in a scan of alpha <= 2000, beta <= 50 and n_F <= 2 * 10**6.
     """
     if n_f < 0:
         raise ValueError("n_F must be >= 0")

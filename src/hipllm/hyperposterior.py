@@ -149,7 +149,7 @@ def hyper_posterior(
     log_w = log_lik + log_prior + grid.log_measure
     m = np.max(log_w)
     if not np.isfinite(m):
-        raise NumericalError(f"all grid log-weights non-finite (max={m!r})")
+        raise NumericalError(f"all grid log-weights non-finite (max={float(m)})")
     w = np.exp(log_w - m)
     z = w.sum()
     if z <= 0.0 or not np.isfinite(z):

@@ -2,21 +2,21 @@
 
 Each domain draws K hyperparameter configurations from its admissible box
 and walks them in blocks of CONFIG_BLOCK; one work unit per (domain, block)
-computes each config's grid hyper-posterior over (mu, nu) and its Monte
-Carlo draws of the subdomain accuracies and the domain aggregate p, and
-reduces them where they are made: `infer` to one row per entity (each
-subdomain, then the domain): its CDF on the evaluation grid (quadrature
-for a subdomain, empirical for the domain), then its expected reliability
-at every horizon.  The block shares one quadrature per subdomain, which
-evaluates each (cell, t) Beta CDF once for all its configs, and keeps only
-its configs' posterior weights for it; the draws are made one config at a
-time after it.  Only p outlives the unit; capped cross-domain config
-pairings combine it into the system aggregate p_L, one pairing at a time,
-which `infer` reduces to one such row in turn and `system_sample_arrays`
-returns.  `profile_samples` serves systems that differ only in their
-operational profiles: one domain stage without quadrature, whose units keep
-one p per system, the draws under that system's within-domain weights, and
-let the subdomain draws go.
+makes its configs' grid hyper-posteriors over (mu, nu) first, keeping only
+their weights as one (B, G) array, and then each config's Monte Carlo draws
+of the subdomain accuracies and the domain aggregate p, one config at a
+time, reducing each where it is made.  `infer`'s unit first runs one
+quadrature per subdomain for the block, which evaluates each (cell, t) Beta
+CDF once for all its configs, and reduces each config to one row per entity
+(each subdomain, then the domain): its CDF on the evaluation grid
+(quadrature for a subdomain, empirical for the domain), then its expected
+reliability at every horizon.  Only p outlives the unit; capped
+cross-domain config pairings combine it into the system aggregate p_L, one
+pairing at a time, which `infer` reduces to one such row in turn and
+`system_sample_arrays` returns.  `profile_samples` serves systems that
+differ only in their operational profiles: one domain stage without
+quadrature, whose units keep one p per system, the draws under that
+system's within-domain weights, and let the subdomain draws go.
 
 The report is one table keyed (level, entity name): every subdomain,
 domain and the system has one `Band`, which `envelope` makes as the
@@ -183,8 +183,9 @@ def subdomain_marginal_cdf(
     (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding.  (G,)
     weights give the same values, bit for bit, as the (1, G) block.
 
-    The evaluations run in chunks of QUAD_BLOCK * T // 8 // B, so a
-    chunk's (B, evaluations) products take the bytes of a one-row chunk.
+    The evaluations run in chunks of QUAD_BLOCK * T // 8 // B, at least
+    one, so a chunk's (B, evaluations) products take the bytes of a one-row
+    chunk whenever B <= 32 T.
     """
     if post.weights is None:
         raise ValueError("grid posterior weights missing; run hyper_posterior first")
@@ -213,7 +214,7 @@ def subdomain_marginal_cdf(
     ends = np.cumsum(hi - lo)
     starts, shift = ends - (hi - lo), ends - hi
     del w_max, h, mean, lo, hi, past  # freed before the blocks: keeps the measured peak down
-    evals, budget = int(ends[-1]), QUAD_BLOCK * n_t // 8 // n_rows
+    evals, budget = int(ends[-1]), max(QUAD_BLOCK * n_t // 8 // n_rows, 1)
     firsts = np.arange(0, evals, budget)
     lasts = np.minimum(firsts + budget, evals)
     # each block's cell range [c0, c1): the cells of its first and last evaluation
@@ -347,39 +348,30 @@ def _map(fn, n: int, threads: int) -> list:
         return list(ex.map(fn, range(n)))
 
 
-def _domain(domain, i, grid, mc, master, threads, unit, quadrature=None) -> list:
+def _domain(domain, i, grid, mc, master, threads, unit) -> list:
     """Domain i's K configs, walked in blocks of CONFIG_BLOCK; a block is one
     work unit of the pool.  A block makes its configs' grid posteriors one
-    at a time.  With `quadrature`, it keeps their weights as one (B, G)
-    array, dropping each posterior once copied, and calls
-    `quadrature(block)` once on the grid carrying those weights; its result
-    holds one entry per config.  Then each config's Monte Carlo draws on
-    substream (samples, i, k) are made and handed, with the config's
-    posterior and its quadrature entry (None without `quadrature`), to
-    `unit(post, draws, quad)` one config at a time.  Returns the units'
-    results in config order."""
+    at a time into one (B, G) weights array and returns `unit(block,
+    draws)`: `block` is the grid carrying those weights, and `draws(b)`
+    makes config b's Monte Carlo draws on substream (samples, i, k).  The
+    unit returns one result per config, and must let each config's draws go
+    before it asks for the next.  Returns the results in config order."""
     configs = generate_configs(
         domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
     )
     log_lik = log_marginal_likelihood_grid(domain, grid)
 
-    def posterior(k):
-        return hyper_posterior(domain, configs[k], grid, log_lik=log_lik)
-
     def work(n):
         ks = range(len(configs))[n * CONFIG_BLOCK : (n + 1) * CONFIG_BLOCK]
-        if quadrature is None:
-            posts, quads = map(posterior, ks), itertools.repeat(None)
-        else:
-            weights = np.empty((len(ks), grid.mu.size))
-            for b, k in enumerate(ks):
-                weights[b] = posterior(k).weights
-            quads = quadrature(replace(grid, weights=weights))
-            posts = (replace(grid, weights=w) for w in weights)
-        return [
-            unit(post, sample_domain(domain, post, mc.samples_per_config, master.substream(_STAGE_SAMPLES, i, k)), quad)
-            for k, post, quad in zip(ks, posts, quads)
-        ]
+        weights = np.empty((len(ks), grid.mu.size))
+        for b, k in enumerate(ks):
+            weights[b] = hyper_posterior(domain, configs[k], grid, log_lik=log_lik).weights
+
+        def draws(b):
+            post = replace(grid, weights=weights[b])
+            return sample_domain(domain, post, mc.samples_per_config, master.substream(_STAGE_SAMPLES, i, ks[b]))
+
+        return unit(replace(grid, weights=weights), draws)
 
     blocks = _map(work, math.ceil(len(configs) / CONFIG_BLOCK), threads)
     return [result for block in blocks for result in block]
@@ -427,13 +419,16 @@ def profile_samples(
         raise ValueError("systems may differ only in op_weights and domain_weights")
     grid = build_grid(grid_spec)
     master = RngState(mc.master_seed)
-    # domain_p[i][k][n]: domain i, config k, system n; `sample_domain` has
-    # already reduced the draws under the first system's weights
+
+    def profiles(i, draws):
+        """Domain i's p under each system's weights (the first's made by `sample_domain`)."""
+        return [draws.p] + [draws.theta @ np.asarray(s.domains[i].op_weights) for s in systems[1:]]
+
+    # domain_p[i][k][n]: domain i, config k, system n
     domain_p = [
         _domain(
             domain, i, grid, mc, master, threads,
-            lambda post, draws, _, i=i: [draws.p]
-            + [draws.theta @ np.asarray(s.domains[i].op_weights) for s in systems[1:]],
+            lambda block, draws, i=i: [profiles(i, draws(b)) for b in range(len(block.weights))],
         )
         for i, domain in enumerate(systems[0].domains)
     ]
@@ -482,17 +477,19 @@ def infer(
 
     for i, domain in enumerate(system.domains):
 
-        def quadrature(block):
-            """Each config's subdomain CDFs: one (B, T) quadrature per subdomain."""
-            return list(zip(*(subdomain_marginal_cdf(domain, j, block, t) for j in range(len(domain.subdomains)))))
+        def config_rows(cdfs, draws):
+            """One config's rows, each subdomain's then the domain's; and its
+            domain draws p."""
+            subs = [row(cdf, theta) for cdf, theta in zip(cdfs, draws.theta.T)]
+            return subs + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
 
-        def unit(post, draws, cdfs):
-            """This config's rows, each subdomain's then the domain's; and
-            its domain draws p."""
-            rows = [row(cdf, theta) for cdf, theta in zip(cdfs, draws.theta.T)]
-            return rows + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
+        def unit(block, draws):
+            """The block's quadrature, one (B, T) CDF per subdomain; then each
+            config's rows, its draws made inside the call that reduces them."""
+            cdfs = zip(*(subdomain_marginal_cdf(domain, j, block, t) for j in range(len(domain.subdomains))))
+            return [config_rows(row_cdfs, draws(b)) for b, row_cdfs in enumerate(cdfs)]
 
-        units = _domain(domain, i, grid, mc, master, threads, unit, quadrature)
+        units = _domain(domain, i, grid, mc, master, threads, unit)
         domain_p.append([p for _, p in units])
         # entity e's members: row e of every config
         members = list(zip(*(rows for rows, _ in units)))

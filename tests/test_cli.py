@@ -14,7 +14,7 @@ import pytest
 
 import hipllm
 import hipllm.harness as harness
-from hipllm.cli import EXIT_CONFIG, EXIT_OK, main
+from hipllm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from hipllm.config import parse_config_dict
 from hipllm.model import GridSpec, McSpec
 from hipllm.numerics import beta_cdf
@@ -278,6 +278,62 @@ class TestInfer:
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "system.domains[1].subdomains[0].label" in capsys.readouterr().err
 
+    def test_numerical_failure_exit_code(self, tmp_path):
+        # Beta(1e308, 1e308) priors overflow every grid log-weight to nan.
+        # The command runs in its own process, as a user runs it, so that
+        # tier-1's RuntimeWarning-as-error filter cannot turn a floating-point
+        # warning on the way into a traceback.
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["box"].update(a=[1e308, 1e308], b=[1e308, 1e308])
+        cfg = write_config(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": str(Path(hipllm.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hipllm.cli", "infer", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert "numerical failure: all grid log-weights non-finite (max=nan)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_out_below_regular_file_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DEGENERATE)
+        (tmp_path / "file").write_text("")
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "file" / "o")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"][0]["subdomains"][0].update(correct=7.0, total=257.0)
+        doc["mc"]["samples_per_config"] = 100.0
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        text = (out / "report.json").read_text()
+        echo = json.loads(text)["config"]
+        sub = echo["hierarchy"]["domains"][0]["subdomains"][0]
+        for value, expected in ((sub["correct"], 7), (sub["total"], 257), (echo["mc"]["samples_per_config"], 100)):
+            assert type(value) is int and value == expected
+        assert '"total": 257' in text and "257.0" not in text
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("hierarchy", "domains", 0, "subdomains", 0, "label"), 5, "config.hierarchy.domains[0].subdomains[0].label"),
+            (("output", "svg"), "yes", "config.output.svg"),
+            (("hierarchy", "domains", 0, "box", "a"), [0, 1], "box.a_range"),
+            (("hierarchy", "domains", 0, "box", "b"), [-1, 1], "box.b_range"),
+        ],
+        ids=["label-int", "flag-str", "box-zero", "box-negative"],
+    )
+    def test_invalid_value_names_its_field(self, tmp_path, capsys, path, value, field):
+        doc = {**json.loads(json.dumps(DEGENERATE)), "output": {}}
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"schema_version": 1})
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -302,6 +358,12 @@ class TestReliability:
             int(rec["n_F"]) for rec in csv.DictReader(lines) if rec["level"] == "system"
         }
         assert horizons == {1, 3, 9}
+
+    def test_zero_horizon_names_its_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DEGENERATE)
+        argv = ["reliability", "--config", str(cfg), "--out", str(tmp_path / "o"), "--horizons", "0,5"]
+        assert main(argv) == EXIT_CONFIG
+        assert "query.horizons" in capsys.readouterr().err
 
 
 class TestSweeps:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,25 @@ class TestConfigBlocks:
         # single-config block
         assert max(rows) * len(weights) <= QUAD_BLOCK * t.size // 8
 
+    @pytest.mark.parametrize("n_t", [2, 3])
+    def test_block_beyond_chunk_budget(self, n_t):
+        # 100 rows at T <= 3 leave QUAD_BLOCK * T // 8 // B = 0 evaluations
+        # per chunk; a chunk still takes one
+        t = eval_grid(n_t)
+        for dom, grid, blocks in gpt4o_blocks(k=100):
+            weights = np.concatenate(blocks)
+            for j in range(len(dom.subdomains)):
+                rows = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=weights), t)
+                assert rows.shape == (len(weights), n_t)
+                for w, got in zip(weights, rows):
+                    single = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w[None, :]), t)
+                    assert np.max(np.abs(got - single[0])) <= 1e-14
+
+    def test_empty_t(self):
+        dom, grid, blocks = gpt4o_blocks(k=4)[0]
+        block = dataclasses.replace(grid, weights=blocks[0])
+        assert subdomain_marginal_cdf(dom, 0, block, np.array([])).shape == (4, 0)
+
     @pytest.mark.parametrize("k", [1, CONFIG_BLOCK, CONFIG_BLOCK + 1, 2 * CONFIG_BLOCK + 1])
     def test_partial_blocks_thread_invariant(self, k):
         sys_ = profile_system()
@@ -553,8 +573,40 @@ class TestWorkUnitIdentity:
             return real(seed)
 
         monkeypatch.setattr(np.random, "PCG64", counting)
-        inference._domain(dom, 0, grid, mc, master, threads, lambda post, draws, quad: None)
+        inference._domain(dom, 0, grid, mc, master, threads, lambda block, draws: [draws(b) for b in range(len(block.weights))])
         assert len(built) == k * (len(dom.subdomains) + 1)
+
+
+class TestLiveDraws:
+    """A work unit lets each config's draws go before it asks for the
+    next config's, so one config's draws are alive at a time."""
+
+    MC = McSpec(samples_per_config=200, configs_per_domain=CONFIG_BLOCK + 3, pairing_cap=16, master_seed=5, t_grid_size=21)
+
+    @pytest.fixture
+    def live(self, monkeypatch):
+        real, count = inference.sample_domain, {"now": 0, "max": 0}
+
+        def release():
+            count["now"] -= 1
+
+        def spy(*args):
+            draws = real(*args)
+            count["now"] += 1
+            count["max"] = max(count["max"], count["now"])
+            weakref.finalize(draws, release)
+            return draws
+
+        monkeypatch.setattr(inference, "sample_domain", spy)
+        return count
+
+    def test_infer(self, live):
+        infer(profile_system(), GridSpec(n_mu=8, n_nu=6), self.MC, ReliabilityQuery((1, 5)), threads=1)
+        assert live == {"now": 0, "max": 1}
+
+    def test_system_sample_arrays(self, live):
+        system_sample_arrays(profile_system(), GridSpec(n_mu=8, n_nu=6), self.MC, threads=1)
+        assert live == {"now": 0, "max": 1}
 
 
 class TestEmpiricalCdf:
