@@ -292,9 +292,10 @@ def run_scaling_sweep(
     (`_grid_for_size`).
 
     The timed run is single-threaded so fitted exponents are independent of
-    scheduling.  Peak memory is the tracemalloc peak of a second, untimed
-    run of the same point, because tracing slows every allocation (by 14-18%
-    of CPU time at G=500 and G=4000).
+    scheduling.  Peak memory is the tracemalloc peak of an untimed run of
+    the same point just before it, because tracing slows every allocation
+    (by 14-18% of CPU time at G=500 and G=4000); that run also warms the
+    point, so the first point is not timed cold.
     """
     if parameter not in {"m", "n", "K", "S", "G"}:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -317,15 +318,15 @@ def run_scaling_sweep(
         elif parameter == "G":
             grid = _grid_for_size(v)
         system = _bench_system(m, n_bar)
-        start = time.perf_counter()
-        infer(system, grid, mc, query, threads=1)
-        elapsed = time.perf_counter() - start
         tracemalloc.start()
         try:
             infer(system, grid, mc, query, threads=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        start = time.perf_counter()
+        infer(system, grid, mc, query, threads=1)
+        elapsed = time.perf_counter() - start
         records.append(
             ScalingRecord(parameter=parameter, value=float(v), seconds=elapsed, peak_bytes=peak)
         )

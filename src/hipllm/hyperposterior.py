@@ -4,13 +4,14 @@ The joint posterior of a domain's subdomain accuracies decomposes into
 independent conditional Betas given (mu, nu), with (mu, nu) weighted by
 the product of the Beta-Binomial marginal likelihood and the
 Beta(a,b) x Gamma(c, rate=d) prior.  This module discretizes (mu, nu) on
-a midpoint/log-cell product grid and computes those weights in log space.
+a midpoint/log-cell product grid and computes those weights in log space,
+for a block of configs at once: one (B, G) array, a row per config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as sp
@@ -21,6 +22,7 @@ from .numerics import DomainError
 __all__ = [
     "HyperGrid",
     "NumericalError",
+    "Posterior",
     "build_grid",
     "log_prior_density",
     "log_marginal_likelihood",
@@ -30,38 +32,40 @@ __all__ = [
 
 
 class NumericalError(ArithmeticError):
-    """Catastrophic underflow or non-finite result in grid normalization."""
+    """Non-finite result in grid normalization."""
+
+
+class Posterior(NamedTuple):
+    """Grid posteriors of a block of configs, row b for config b."""
+
+    weights: np.ndarray       # (B, G) posterior mass, each row sums to 1
+    log_evidence: np.ndarray  # (B,) log Pr(counts | config)
 
 
 @dataclass
 class HyperGrid:
-    """Product grid of (mu, nu) nodes with cell measures and, once a
-    posterior has been computed, normalized weights.
+    """Product grid of (mu, nu) nodes with their cell measures.
 
     mu nodes are midpoints of equal cells on (0,1); nu nodes are geometric
     midpoints of log-spaced cells, with linear (d nu) cell measures.
 
     The node logs log(mu), log(1 - mu) and log(nu) that every config's prior
-    density needs are computed once, when the grid is made (after checking
-    0 < mu < 1 and nu > 0), and `dataclasses.replace` carries them into each
-    posterior.
+    density needs are computed once, when the grid is made, after checking
+    0 < mu < 1 and nu > 0.
     """
 
     mu: np.ndarray            # (G,) node values, mu varies fastest
     nu: np.ndarray            # (G,)
     log_measure: np.ndarray   # (G,) log of mu-width * nu-width
-    weights: Optional[np.ndarray] = None      # (G,) posterior mass, sums to 1
-    log_evidence: Optional[float] = None      # log Pr(counts | config)
-    log_mu: Optional[np.ndarray] = field(default=None, repr=False)    # (G,) log(mu)
-    log1m_mu: Optional[np.ndarray] = field(default=None, repr=False)  # (G,) log1p(-mu)
-    log_nu: Optional[np.ndarray] = field(default=None, repr=False)    # (G,) log(nu)
+    log_mu: np.ndarray = field(init=False, repr=False)    # (G,) log(mu)
+    log1m_mu: np.ndarray = field(init=False, repr=False)  # (G,) log1p(-mu)
+    log_nu: np.ndarray = field(init=False, repr=False)    # (G,) log(nu)
 
     def __post_init__(self):
-        if self.log_mu is None:
-            if np.any(self.mu <= 0.0) or np.any(self.mu >= 1.0) or np.any(self.nu <= 0.0):
-                raise DomainError("grid nodes need 0 < mu < 1 and nu > 0")
-            self.log_mu, self.log1m_mu = np.log(self.mu), np.log1p(-self.mu)
-            self.log_nu = np.log(self.nu)
+        if np.any(self.mu <= 0.0) or np.any(self.mu >= 1.0) or np.any(self.nu <= 0.0):
+            raise DomainError("grid nodes need 0 < mu < 1 and nu > 0")
+        self.log_mu, self.log1m_mu = np.log(self.mu), np.log1p(-self.mu)
+        self.log_nu = np.log(self.nu)
 
     @property
     def size(self) -> int:
@@ -95,14 +99,23 @@ def log_prior_density(mu, nu, h: HyperConfig):
         raise DomainError("log_prior_density requires 0 < mu < 1")
     if np.any(nu_a <= 0.0):
         raise DomainError("log_prior_density requires nu > 0")
-    return _log_prior(np.log(mu_a), np.log1p(-mu_a), np.log(nu_a), nu_a, h)
+    out = np.empty(np.broadcast(mu_a, nu_a).shape)
+    return _log_prior(np.log(mu_a), np.log1p(-mu_a), np.log(nu_a), nu_a, *h.as_tuple(), out)[()]
 
 
-def _log_prior(log_mu, log1m_mu, log_nu, nu, h: HyperConfig):
-    """`log_prior_density` from the node logs log(mu), log(1 - mu), log(nu)."""
-    log_beta_part = (h.a - 1.0) * log_mu + (h.b - 1.0) * log1m_mu - sp.betaln(h.a, h.b)
-    log_gamma_part = h.c * np.log(h.d) - sp.gammaln(h.c) + (h.c - 1.0) * log_nu - h.d * nu
-    return log_beta_part + log_gamma_part
+def _log_prior(log_mu, log1m_mu, log_nu, nu, a, b, c, d, out):
+    """`log_prior_density` from the node logs log(mu), log(1 - mu), log(nu),
+    written into `out` with one scratch array and the product d * nu; a,
+    b, c, d may be (B, 1) columns, one row of `out` per config."""
+    scratch = np.multiply(b - 1.0, log1m_mu, out=np.empty_like(out))
+    np.add(np.multiply(a - 1.0, log_mu, out=out), scratch, out=out)
+    out -= sp.betaln(a, b)
+    # the Gamma part, (c log d - gammaln(c) + (c - 1) log nu) - d nu
+    np.multiply(c - 1.0, log_nu, out=scratch)
+    scratch += c * np.log(d) - sp.gammaln(c)
+    scratch -= d * nu
+    out += scratch
+    return out
 
 
 def log_marginal_likelihood(domain: DomainSpec, mu, nu):
@@ -131,27 +144,27 @@ def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndar
     return log_marginal_likelihood(domain, grid.mu, grid.nu)
 
 
-def hyper_posterior(
-    domain: DomainSpec,
-    h: HyperConfig,
-    grid: HyperGrid,
-    log_lik: Optional[np.ndarray] = None,
-) -> HyperGrid:
-    """Posterior weights over the (mu, nu) grid for one precise config.
+def hyper_posterior(domain: DomainSpec, configs: Sequence[HyperConfig], grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
+    """Posterior weights over the (mu, nu) grid for a block of precise
+    configs from `log_lik = log_marginal_likelihood_grid(domain, grid)`:
+    row b is config b's, made by its operations alone, in the same order.
 
-    Returns a new HyperGrid whose weights sum to 1 and whose log_evidence
-    is the quadrature estimate of log Pr(counts | config).  Normalization
-    subtracts the max log-weight before exponentiating to guard underflow.
+    Each row's weights sum to 1 and its log_evidence is the quadrature
+    estimate of log Pr(counts | config).  Normalization subtracts each row's
+    max log-weight before exponentiating, so a row with a finite max sums
+    to between 1 and G before dividing; a row without one raises
+    NumericalError naming its config.
     """
-    if log_lik is None:
-        log_lik = log_marginal_likelihood_grid(domain, grid)
-    log_prior = _log_prior(grid.log_mu, grid.log1m_mu, grid.log_nu, grid.nu, h)
-    log_w = log_lik + log_prior + grid.log_measure
-    m = np.max(log_w)
-    if not np.isfinite(m):
-        raise NumericalError(f"all grid log-weights non-finite (max={float(m)})")
-    w = np.exp(log_w - m)
-    z = w.sum()
-    if z <= 0.0 or not np.isfinite(z):
-        raise NumericalError(f"grid weights underflowed (max log-weight {m:.6g})")
-    return replace(grid, weights=w / z, log_evidence=float(m + np.log(z)))
+    a, b, c, d = np.array([h.as_tuple() for h in configs], dtype=float).T[:, :, None]
+    log_w = _log_prior(grid.log_mu, grid.log1m_mu, grid.log_nu, grid.nu, a, b, c, d, np.empty((len(configs), grid.size)))
+    log_w += log_lik
+    log_w += grid.log_measure
+    m = log_w.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        r = int(np.argmin(np.isfinite(m[:, 0])))
+        raise NumericalError(f"all grid log-weights non-finite (max={float(m[r, 0])}) at config (a, b, c, d) = {configs[r].as_tuple()}")
+    log_w -= m
+    w = np.exp(log_w, out=log_w)
+    z = w.sum(axis=1, keepdims=True)
+    w /= z
+    return Posterior(w, (m + np.log(z))[:, 0])

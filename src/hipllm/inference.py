@@ -2,10 +2,10 @@
 
 Each domain draws K hyperparameter configurations from its admissible box
 and walks them in blocks of CONFIG_BLOCK; one work unit per (domain, block)
-makes its configs' grid hyper-posteriors over (mu, nu) first, keeping only
-their weights as one (B, G) array, and then each config's Monte Carlo draws
-of the subdomain accuracies and the domain aggregate p, one config at a
-time, reducing each where it is made.  `infer`'s unit first runs one
+makes its configs' grid hyper-posteriors over (mu, nu) first, in one call
+whose weights are one (B, G) array, and then each config's Monte Carlo
+draws of the subdomain accuracies and the domain aggregate p, one config
+at a time, reducing each where it is made.  `infer`'s unit first runs one
 quadrature per subdomain for the block, which evaluates each (cell, t) Beta
 CDF once for all its configs, and reduces each config to one row per entity
 (each subdomain, then the domain): its CDF on the evaluation grid
@@ -38,12 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hyperposterior import (
-    HyperGrid,
-    build_grid,
-    hyper_posterior,
-    log_marginal_likelihood_grid,
-)
+from .hyperposterior import HyperGrid, build_grid, hyper_posterior, log_marginal_likelihood_grid
 from .model import (
     DomainSpec,
     GridSpec,
@@ -157,17 +152,16 @@ def generate_configs(box: HyperBox, k: int, seed: int) -> List[HyperConfig]:
     return corners + [HyperConfig(*row) for row in fill]
 
 
-def subdomain_marginal_cdf(
-    domain: DomainSpec, j: int, post: HyperGrid, t: np.ndarray
-) -> np.ndarray:
+def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Deterministic quadrature CDF of one subdomain accuracy on the
     ascending grid t in [0, 1], for one posterior or a block of them.
 
     Mixture over the G grid cells of conditional Beta CDFs
     I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights w.
-    `post.weights` is (G,), giving a (T,) CDF, or (B, G), one row per
-    config of a block, giving (B, T): the rows share the grid, so a cell's
-    conditional Beta, and its CDF values, are the same for all of them.
+    `weights` is (G,), giving a (T,) CDF, or (B, G), one row per config of
+    a block (`hyper_posterior`'s weights), giving (B, T): the rows share the
+    grid, so a cell's conditional Beta, and its CDF values, are the same
+    for all of them.
 
     Beta(alpha, beta) is sub-Gaussian with variance proxy
     1/(4(alpha + beta + 1)) (Marchal & Arbel 2017), so its CDF is at most
@@ -187,16 +181,14 @@ def subdomain_marginal_cdf(
     one, so a chunk's (B, evaluations) products take the bytes of a one-row
     chunk whenever B <= 32 T.
     """
-    if post.weights is None:
-        raise ValueError("grid posterior weights missing; run hyper_posterior first")
     t = np.asarray(t, dtype=float)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
         raise ValueError("quadrature t must ascend within [0, 1]")
-    w = np.atleast_2d(post.weights)
+    w = np.atleast_2d(weights)
     (n_rows, n_cells), n_t = w.shape, t.size
     sub = domain.subdomains[j]
-    alpha = sub.correct + post.mu * post.nu
-    beta = sub.total - sub.correct + (1.0 - post.mu) * post.nu
+    alpha = sub.correct + grid.mu * grid.nu
+    beta = sub.total - sub.correct + (1.0 - grid.mu) * grid.nu
     # each cell's window [lo, hi) of t indices: its mean -/+ h for the tail
     # budget QUAD_EPS / (G w) of its largest weight w, so the union of its
     # rows' windows; empty where G w <= QUAD_EPS
@@ -227,33 +219,28 @@ def subdomain_marginal_cdf(
         k = np.arange(first, last) - shift[c]
         mixed = w[:, c] * beta_cdf(t[k], alpha[c], beta[c])
         cdf += np.bincount((row * n_t + k).ravel(), weights=mixed.ravel(), minlength=n_rows * n_t).reshape(n_rows, n_t)
-    return cdf.reshape(np.shape(post.weights)[:-1] + (n_t,))
+    return cdf.reshape(np.shape(weights)[:-1] + (n_t,))
 
 
-def sample_domain(
-    domain: DomainSpec,
-    post: HyperGrid,
-    s: int,
-    rng: RngState,
-) -> SampleSet:
-    """Monte Carlo draws of subdomain accuracies and the domain aggregate.
+def sample_domain(domain: DomainSpec, grid: HyperGrid, weights: np.ndarray, s: int, rng: RngState) -> SampleSet:
+    """Monte Carlo draws of subdomain accuracies and the domain aggregate
+    under one config's (G,) posterior weights on the grid.
 
-    Each draw picks a grid cell from the posterior weights, then draws every
+    Each draw picks a grid cell from the weights, then draws every
     subdomain accuracy from its conditional Beta, then aggregates with the
-    within-domain operational weights.  The cells come from substream 0 and
-    subdomain j's Beta draws from substream j + 1.  The Beta parameters are
-    computed once per grid cell and gathered by the drawn cells.
+    within-domain operational weights, clipped at 1 against rounding.  The
+    cells come from substream 0 and subdomain j's Beta draws from substream
+    j + 1.  The Beta parameters are computed once per grid cell and
+    gathered by the drawn cells.
     """
-    if post.weights is None:
-        raise ValueError("grid posterior weights missing; run hyper_posterior first")
-    cells = sample_categorical(rng.substream(0), post.weights, size=s)
-    a0, b0 = post.mu * post.nu, (1.0 - post.mu) * post.nu
+    cells = sample_categorical(rng.substream(0), weights, size=s)
+    a0, b0 = grid.mu * grid.nu, (1.0 - grid.mu) * grid.nu
     theta = np.empty((s, len(domain.subdomains)))
     for j, sub in enumerate(domain.subdomains):
         alpha = (sub.correct + a0)[cells]
         beta = (sub.total - sub.correct + b0)[cells]
         theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
-    p = theta @ np.asarray(domain.op_weights)
+    p = np.minimum(theta @ np.asarray(domain.op_weights), 1.0)
     return SampleSet(theta=theta, p=p)
 
 
@@ -288,14 +275,14 @@ def sample_system(
     pairing: Tuple[int, ...],
     domain_p: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """Index-aligned system aggregate p_L for one config pairing, where
-    domain_p[i][k] holds domain i's aggregate draws under config k."""
+    """Index-aligned system aggregate p_L, clipped at 1, for one config
+    pairing, where domain_p[i][k] holds domain i's draws under config k."""
     slices = [domain_p[i][k] for i, k in enumerate(pairing)]
     sizes = {p.size for p in slices}
     if len(sizes) != 1:
         raise ValueError(f"mismatched sample counts across domains: {sorted(sizes)}")
     w = np.asarray(system.domain_weights)
-    return sum(wi * p for wi, p in zip(w, slices))
+    return np.minimum(sum(wi * p for wi, p in zip(w, slices)), 1.0)
 
 
 def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> Band:
@@ -350,28 +337,26 @@ def _map(fn, n: int, threads: int) -> list:
 
 def _domain(domain, i, grid, mc, master, threads, unit) -> list:
     """Domain i's K configs, walked in blocks of CONFIG_BLOCK; a block is one
-    work unit of the pool.  A block makes its configs' grid posteriors one
-    at a time into one (B, G) weights array and returns `unit(block,
-    draws)`: `block` is the grid carrying those weights, and `draws(b)`
-    makes config b's Monte Carlo draws on substream (samples, i, k).  The
-    unit returns one result per config, and must let each config's draws go
-    before it asks for the next.  Returns the results in config order."""
+    work unit of the pool.  A block makes its configs' (B, G) posterior
+    weights in one `hyper_posterior` call and returns `unit(weights,
+    draws)`: `draws(b)` makes its config b's Monte Carlo draws under
+    `weights[b]` on substream (samples, i, k).  The unit returns one result
+    per config, and must let each config's draws go before it asks for the
+    next.  Returns the results in config order."""
     configs = generate_configs(
         domain.box, mc.configs_per_domain, master.substream(_STAGE_CONFIGS, i).seed
     )
     log_lik = log_marginal_likelihood_grid(domain, grid)
 
     def work(n):
-        ks = range(len(configs))[n * CONFIG_BLOCK : (n + 1) * CONFIG_BLOCK]
-        weights = np.empty((len(ks), grid.mu.size))
-        for b, k in enumerate(ks):
-            weights[b] = hyper_posterior(domain, configs[k], grid, log_lik=log_lik).weights
+        first = n * CONFIG_BLOCK
+        weights = hyper_posterior(domain, configs[first : first + CONFIG_BLOCK], grid, log_lik).weights
 
         def draws(b):
-            post = replace(grid, weights=weights[b])
-            return sample_domain(domain, post, mc.samples_per_config, master.substream(_STAGE_SAMPLES, i, ks[b]))
+            rng = master.substream(_STAGE_SAMPLES, i, first + b)
+            return sample_domain(domain, grid, weights[b], mc.samples_per_config, rng)
 
-        return unit(replace(grid, weights=weights), draws)
+        return unit(weights, draws)
 
     blocks = _map(work, math.ceil(len(configs) / CONFIG_BLOCK), threads)
     return [result for block in blocks for result in block]
@@ -422,13 +407,13 @@ def profile_samples(
 
     def profiles(i, draws):
         """Domain i's p under each system's weights (the first's made by `sample_domain`)."""
-        return [draws.p] + [draws.theta @ np.asarray(s.domains[i].op_weights) for s in systems[1:]]
+        return [draws.p] + [np.minimum(draws.theta @ np.asarray(s.domains[i].op_weights), 1.0) for s in systems[1:]]
 
     # domain_p[i][k][n]: domain i, config k, system n
     domain_p = [
         _domain(
             domain, i, grid, mc, master, threads,
-            lambda block, draws, i=i: [profiles(i, draws(b)) for b in range(len(block.weights))],
+            lambda weights, draws, i=i: [profiles(i, draws(b)) for b in range(len(weights))],
         )
         for i, domain in enumerate(systems[0].domains)
     ]
@@ -483,10 +468,10 @@ def infer(
             subs = [row(cdf, theta) for cdf, theta in zip(cdfs, draws.theta.T)]
             return subs + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
 
-        def unit(block, draws):
+        def unit(weights, draws):
             """The block's quadrature, one (B, T) CDF per subdomain; then each
             config's rows, its draws made inside the call that reduces them."""
-            cdfs = zip(*(subdomain_marginal_cdf(domain, j, block, t) for j in range(len(domain.subdomains))))
+            cdfs = zip(*(subdomain_marginal_cdf(domain, j, grid, t, weights) for j in range(len(domain.subdomains))))
             return [config_rows(row_cdfs, draws(b)) for b, row_cdfs in enumerate(cdfs)]
 
         units = _domain(domain, i, grid, mc, master, threads, unit)

@@ -104,18 +104,18 @@ def test_criterion_2_degenerate_hierarchy():
     # single node at (mu, nu) = (0.5, 2); posterior there is exactly Beta(4, 8)
     grid = build_grid(GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0))
     config = HyperConfig(1.0, 1.0, 1.0, 1.0)
-    post = hyper_posterior(domain, config, grid)
+    weights = hyper_posterior(domain, [config], grid, log_marginal_likelihood_grid(domain, grid)).weights[0]
 
     t = eval_grid(201)
     exact = beta_cdf(t, 4.0, 8.0)
-    quad = subdomain_marginal_cdf(domain, 0, post, t)
+    quad = subdomain_marginal_cdf(domain, 0, grid, t, weights)
     quad_err = float(np.max(np.abs(quad - exact)))
 
     dkw = 0.0163
     failures = 0
     sups = []
     for seed in range(5):
-        draws = sample_domain(domain, post, 10_000, RngState(seed))
+        draws = sample_domain(domain, grid, weights, 10_000, RngState(seed))
         sup = float(np.max(np.abs(empirical_cdf(draws.theta[:, 0], t) - exact)))
         sups.append(sup)
         if sup > dkw:
@@ -238,13 +238,13 @@ def test_criterion_7_extra_successes_shift_right():
         log_lik = log_marginal_likelihood_grid(domain, grid)
         members, means = [], []
         for h in configs:
-            post = hyper_posterior(domain, h, grid, log_lik)
-            cdf = subdomain_marginal_cdf(domain, 0, post, t)
+            weights = hyper_posterior(domain, [h], grid, log_lik).weights[0]
+            cdf = subdomain_marginal_cdf(domain, 0, grid, t, weights)
             members.append(cdf)
             # mixture mean of the conditional Beta components
-            alpha = c + post.mu * post.nu
-            beta = (257 - c) + (1 - post.mu) * post.nu
-            means.append(float(post.weights @ (alpha / (alpha + beta))))
+            alpha = c + grid.mu * grid.nu
+            beta = (257 - c) + (1 - grid.mu) * grid.nu
+            means.append(float(weights @ (alpha / (alpha + beta))))
         uppers[c] = np.max(np.asarray(members), axis=0)
         mean_ranges[c] = (min(means), max(means))
     means_up = (
@@ -326,8 +326,8 @@ def test_criterion_9_structural_properties():
     domain_sets = []
     for i, domain in enumerate(system.domains):
         config = generate_configs(domain.box, 4, seed=i)[0]
-        post = hyper_posterior(domain, config, hgrid)
-        ds = sample_domain(domain, post, 1000, RngState(50 + i))
+        weights = hyper_posterior(domain, [config], hgrid, log_marginal_likelihood_grid(domain, hgrid)).weights[0]
+        ds = sample_domain(domain, hgrid, weights, 1000, RngState(50 + i))
         if np.any(ds.p < ds.theta.min(axis=1) - 1e-12) or np.any(
             ds.p > ds.theta.max(axis=1) + 1e-12
         ):

@@ -293,6 +293,7 @@ class TestInfer:
         )
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
         assert "numerical failure: all grid log-weights non-finite (max=nan)" in proc.stderr
+        assert "at config (a, b, c, d) = (1e+308, 1e+308, 1.0, 0.5)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_out_below_regular_file_exit_code(self, tmp_path, capsys):

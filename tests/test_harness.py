@@ -243,8 +243,23 @@ class TestScaling:
             harness.time, "perf_counter", lambda: clock.append(tracemalloc.is_tracing()) or real_clock()
         )
         run_scaling_sweep("m", [1, 2], seed=1)
-        assert tracing == [False, True, False, True]
+        assert tracing == [True, False, True, False]
         assert clock == [False] * 4
+
+    def test_timed_run_follows_traced_run_of_its_point(self, monkeypatch):
+        # the traced run warms each point, the first one too, so no point
+        # is timed cold
+        import hipllm.harness as harness
+
+        calls = []
+        monkeypatch.setattr(
+            harness, "infer", lambda *a, **k: calls.append((tracemalloc.is_tracing(), a, k))
+        )
+        run_scaling_sweep("G", [500, 1000, 2000])
+        assert [traced for traced, _, _ in calls] == [True, False] * 3
+        for (_, *traced), (_, *timed) in zip(calls[::2], calls[1::2]):
+            assert timed == traced
+        assert len({str(a) for _, a, _ in calls}) == 3
 
     def test_sweep_inputs(self, monkeypatch):
         # the systems and grids handed to the engine, recorded without running it

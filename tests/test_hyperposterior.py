@@ -1,5 +1,6 @@
 """Grid construction and posterior-weight tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from hipllm.hyperposterior import (
     HyperGrid,
+    NumericalError,
     build_grid,
     hyper_posterior,
     log_marginal_likelihood,
+    log_marginal_likelihood_grid,
     log_prior_density,
 )
 from hipllm.model import (
@@ -27,6 +30,12 @@ def one_subdomain_domain(c, n):
     return DomainSpec(
         subdomains=(SubdomainData(c, n),), op_weights=(1.0,), box=default_box()
     )
+
+
+def posterior(dom, h, g):
+    """One config's (G,) posterior weights and its log-evidence."""
+    post = hyper_posterior(dom, [h], g, log_marginal_likelihood_grid(dom, g))
+    return post.weights[0], post.log_evidence[0]
 
 
 class TestBuildGrid:
@@ -54,8 +63,10 @@ class TestBuildGrid:
         np.testing.assert_array_equal(g.log_mu, np.log(g.mu))
         np.testing.assert_array_equal(g.log1m_mu, np.log1p(-g.mu))
         np.testing.assert_array_equal(g.log_nu, np.log(g.nu))
-        post = hyper_posterior(one_subdomain_domain(3, 10), HyperConfig(2, 3, 4, 5), g)
-        assert post.log_mu is g.log_mu and post.log1m_mu is g.log1m_mu and post.log_nu is g.log_nu
+        # the grid is its nodes and measures; the logs are made from them only
+        assert [f.name for f in dataclasses.fields(HyperGrid) if f.init] == ["mu", "nu", "log_measure"]
+        with pytest.raises(TypeError):
+            HyperGrid(mu=g.mu, nu=g.nu, log_measure=g.log_measure, log_mu=g.log_mu)
 
     @pytest.mark.parametrize(
         "mu,nu", [([0.5, 0.0], [1.0, 1.0]), ([0.5, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, 0.0])]
@@ -124,9 +135,9 @@ class TestHyperPosterior:
     def test_no_data_matches_prior_mass(self):
         g = build_grid(default_grid())
         h = HyperConfig(3, 2, 2, 4)
-        post = hyper_posterior(one_subdomain_domain(0, 0), h, g)
+        weights, _ = posterior(one_subdomain_domain(0, 0), h, g)
         prior = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure)
-        np.testing.assert_allclose(post.weights, prior / prior.sum(), rtol=1e-10)
+        np.testing.assert_allclose(weights, prior / prior.sum(), rtol=1e-10)
 
     @pytest.mark.parametrize("h", [
         HyperConfig(1, 1, 1, 1), HyperConfig(12, 12, 25, 25),
@@ -134,18 +145,18 @@ class TestHyperPosterior:
     ])
     def test_weights_normalized_at_box_corners(self, h):
         g = build_grid(default_grid())
-        post = hyper_posterior(one_subdomain_domain(90, 100), h, g)
-        assert post.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(post.weights >= 0.0)
-        assert np.isfinite(post.log_evidence)
+        weights, log_evidence = posterior(one_subdomain_domain(90, 100), h, g)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(weights >= 0.0)
+        assert np.isfinite(log_evidence)
 
     def test_data_shifts_posterior_mean_up(self):
         g = build_grid(default_grid())
         h = HyperConfig(1, 1, 1, 1)
-        post = hyper_posterior(one_subdomain_domain(90, 100), h, g)
+        weights, _ = posterior(one_subdomain_domain(90, 100), h, g)
         prior = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure)
         prior /= prior.sum()
-        assert post.weights @ g.mu > prior @ g.mu
+        assert weights @ g.mu > prior @ g.mu
 
     def test_evidence_matches_brute_force_quadrature(self):
         # direct mass summation without the max-subtraction path
@@ -159,27 +170,27 @@ class TestHyperPosterior:
                 * np.exp(g.log_measure)
             )
         )
-        post = hyper_posterior(dom, h, g)
-        assert post.log_evidence == pytest.approx(direct, rel=1e-10)
+        _, log_evidence = posterior(dom, h, g)
+        assert log_evidence == pytest.approx(direct, rel=1e-10)
 
     def test_normalization_shift_invariant(self):
         # adding a constant to all log-weights cannot change the result,
         # exercised via counts large enough to push log-weights below -1000
         g = build_grid(default_grid())
         h = HyperConfig(2, 2, 2, 2)
-        small = hyper_posterior(one_subdomain_domain(60, 100), h, g)
-        big = hyper_posterior(one_subdomain_domain(6000, 10_000), h, g)
-        for post in (small, big):
-            assert post.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(np.isfinite(post.weights))
+        small, _ = posterior(one_subdomain_domain(60, 100), h, g)
+        big, _ = posterior(one_subdomain_domain(6000, 10_000), h, g)
+        for weights in (small, big):
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.isfinite(weights))
 
     def test_grid_refinement_converges(self):
         h = HyperConfig(2, 2, 2, 2)
         dom = one_subdomain_domain(75, 100)
         coarse = build_grid(default_grid())
         fine = build_grid(GridSpec(n_mu=100, n_nu=80))
-        m_coarse = hyper_posterior(dom, h, coarse).weights @ coarse.mu
-        m_fine = hyper_posterior(dom, h, fine).weights @ fine.mu
+        m_coarse = posterior(dom, h, coarse)[0] @ coarse.mu
+        m_fine = posterior(dom, h, fine)[0] @ fine.mu
         assert abs(m_coarse - m_fine) < 1e-3
 
     def test_posterior_mean_vs_reference_grid(self):
@@ -187,7 +198,29 @@ class TestHyperPosterior:
         h = HyperConfig(1, 1, 1, 1)
         dom = one_subdomain_domain(90, 100)
         ref_grid = build_grid(GridSpec(n_mu=1000, n_nu=1000))
-        ref_mean = hyper_posterior(dom, h, ref_grid).weights @ ref_grid.mu
+        ref_mean = posterior(dom, h, ref_grid)[0] @ ref_grid.mu
         g = build_grid(default_grid())
-        mean = hyper_posterior(dom, h, g).weights @ g.mu
+        mean = posterior(dom, h, g)[0] @ g.mu
         assert mean == pytest.approx(ref_mean, abs=2e-3)
+
+    def test_block_rows_are_single_configs(self):
+        # each row of a block is its config's posterior on its own
+        g = build_grid(GridSpec(n_mu=30, n_nu=25))
+        dom = one_subdomain_domain(6, 10)
+        configs = [HyperConfig(1, 1, 1, 1), HyperConfig(12, 1, 25, 25), HyperConfig(2, 3, 2, 2)]
+        block = hyper_posterior(dom, configs, g, log_marginal_likelihood_grid(dom, g))
+        assert block.weights.shape == (3, g.size) and block.log_evidence.shape == (3,)
+        for b, h in enumerate(configs):
+            weights, log_evidence = posterior(dom, h, g)
+            np.testing.assert_array_equal(block.weights[b], weights)
+            assert block.log_evidence[b] == log_evidence
+
+    def test_non_finite_row_names_its_config(self):
+        # Beta(1e308, 1e308) overflows every log-weight of its row to nan
+        g = build_grid(GridSpec(n_mu=10, n_nu=8))
+        dom = one_subdomain_domain(6, 10)
+        configs = [HyperConfig(2, 2, 2, 2), HyperConfig(1e308, 1e308, 3.0, 4.0)]
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            hyper_posterior(dom, configs, g, log_marginal_likelihood_grid(dom, g))
+        assert "all grid log-weights non-finite (max=nan)" in str(err.value)
+        assert "(a, b, c, d) = (1e+308, 1e+308, 3.0, 4.0)" in str(err.value)

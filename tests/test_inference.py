@@ -53,15 +53,20 @@ from hipllm.model import (
 from hipllm.numerics import RngState, beta_cdf
 
 
-def dense_shapes(post, correct, total):
+def dense_shapes(grid, correct, total):
     """Conditional Beta shapes of every grid cell."""
-    return correct + post.mu * post.nu, total - correct + (1.0 - post.mu) * post.nu
+    return correct + grid.mu * grid.nu, total - correct + (1.0 - grid.mu) * grid.nu
 
 
-def dense_cdf(post, correct, total, t):
+def dense_cdf(grid, weights, correct, total, t):
     """The quadrature mixture as one full (cells, T) mat-vec."""
-    alpha, beta = dense_shapes(post, correct, total)
-    return post.weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
+    alpha, beta = dense_shapes(grid, correct, total)
+    return weights @ beta_cdf(t[None, :], alpha[:, None], beta[:, None])
+
+
+def posterior(dom, h, grid):
+    """One config's (G,) posterior weights on the grid."""
+    return hyper_posterior(dom, [h], grid, log_marginal_likelihood_grid(dom, grid)).weights[0]
 
 
 GPT4O_CONFIG = Path(__file__).parent.parent / "configs" / "gpt4o_mini.json"
@@ -127,9 +132,9 @@ class TestSubdomainMarginalCdf:
         # one cell at (0.5, 2): mixture collapses to I_t(C+1, N-C+1)
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
         t = eval_grid(201)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
         np.testing.assert_allclose(vals, beta_cdf(t, 4.0, 8.0), atol=1e-9)
 
     def test_prior_mixture_vs_direct_sampling(self):
@@ -139,21 +144,21 @@ class TestSubdomainMarginalCdf:
         )
         grid = build_grid(GridSpec(n_mu=10, n_nu=8, nu_min=0.5, nu_max=20.0))
         h = HyperConfig(2, 2, 2, 2)
-        post = hyper_posterior(dom, h, grid)
+        w = posterior(dom, h, grid)
         t = np.array([0.5])
-        quad = subdomain_marginal_cdf(dom, 0, post, t)[0]
+        quad = subdomain_marginal_cdf(dom, 0, grid, t, w)[0]
         rng = RngState(404)
         s = 100_000
-        sl = sample_domain(dom, post, s, rng)
+        sl = sample_domain(dom, grid, w, s, rng)
         mc = np.mean(sl.theta[:, 0] <= 0.5)
         assert quad == pytest.approx(mc, abs=0.01)
 
     def test_terminal_value_is_one(self):
         dom = one_subdomain_system(90, 100).domains[0]
         grid = build_grid(GridSpec(n_mu=20, n_nu=10))
-        post = hyper_posterior(dom, HyperConfig(3, 2, 4, 4), grid)
+        w = posterior(dom, HyperConfig(3, 2, 4, 4), grid)
         t = eval_grid(51)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)
 
@@ -178,85 +183,81 @@ class TestSubdomainMarginalCdf:
         # every cell weighs about 1/G, so each is evaluated inside its window
         rng = np.random.default_rng(cells)
         weights = rng.uniform(0.5, 1.5, cells)
-        post = HyperGrid(
+        weights /= weights.sum()
+        grid = HyperGrid(
             mu=rng.uniform(0.05, 0.95, cells),
             nu=rng.uniform(1.0, 50.0, cells),
             log_measure=np.zeros(cells),
-            weights=weights / weights.sum(),
         )
         dom = one_subdomain_system(30, 50).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, weights)
         assert rows and max(rows) <= QUAD_BLOCK * t.size // 8
-        np.testing.assert_allclose(vals, dense_cdf(post, 30, 50, t), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(vals, dense_cdf(grid, weights, 30, 50, t), rtol=0, atol=1e-14)
 
     @staticmethod
     def spread_grid(mu, nu):
-        """Evenly weighted cells at the given (mu, nu): G w = 1, so each
+        """Cells at the given (mu, nu) and their even weights: G w = 1, so each
         cell's window is mean -/+ sqrt(ln(1/QUAD_EPS) / (2(alpha + beta + 1)))."""
         mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-        return HyperGrid(
-            mu=mu,
-            nu=nu,
-            log_measure=np.zeros(mu.size),
-            weights=np.full(mu.size, 1.0 / mu.size),
-        )
+        return HyperGrid(mu=mu, nu=nu, log_measure=np.zeros(mu.size)), np.full(mu.size, 1.0 / mu.size)
 
     def test_window_covers_unit_interval_without_data(self, monkeypatch):
         # no data and nu near the default grid's nu_min: h is far above 1,
         # so every cell is evaluated at every t
         nu_min = GridSpec().nu_min
-        post = self.spread_grid(np.linspace(0.02, 0.98, 40), nu_min * np.linspace(1.0, 3.0, 40))
+        grid, w = self.spread_grid(np.linspace(0.02, 0.98, 40), nu_min * np.linspace(1.0, 3.0, 40))
         dom = one_subdomain_system(0, 0).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
-        assert sum(rows) == post.mu.size * t.size
-        np.testing.assert_allclose(vals, dense_cdf(post, 0, 0, t), rtol=0, atol=1e-15 + 1e-14)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        assert sum(rows) == grid.mu.size * t.size
+        np.testing.assert_allclose(vals, dense_cdf(grid, w, 0, 0, t), rtol=0, atol=1e-15 + 1e-14)
 
     @pytest.mark.parametrize("correct", [0, 5000], ids=["all-wrong", "all-right"])
     def test_window_at_extreme_means(self, monkeypatch, correct):
         # C = 0 or C = N at N = 5000 puts every mean within 0.01 of 0 or 1
-        post = self.spread_grid(np.linspace(0.01, 0.99, 50), np.geomspace(1e-5, 150.0, 50))
+        grid, w = self.spread_grid(np.linspace(0.01, 0.99, 50), np.geomspace(1e-5, 150.0, 50))
         dom = one_subdomain_system(correct, 5000).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
-        assert sum(rows) < post.mu.size * t.size // 4
-        np.testing.assert_allclose(vals, dense_cdf(post, correct, 5000, t), rtol=0, atol=1e-15 + 1e-14)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        assert sum(rows) < grid.mu.size * t.size // 4
+        np.testing.assert_allclose(vals, dense_cdf(grid, w, correct, 5000, t), rtol=0, atol=1e-15 + 1e-14)
 
     def test_t_on_window_edges(self, monkeypatch):
         # grid points placed exactly on each cell's mean -/+ h
-        post = self.spread_grid([0.3, 0.5, 0.8], [5.0, 40.0, 120.0])
+        grid, w = self.spread_grid([0.3, 0.5, 0.8], [5.0, 40.0, 120.0])
         dom = one_subdomain_system(700, 1000).domains[0]
-        alpha, beta = dense_shapes(post, 700, 1000)
+        alpha, beta = dense_shapes(grid, 700, 1000)
         h = np.sqrt(math.log(1.0 / QUAD_EPS) / (2.0 * (alpha + beta + 1.0)))
         mean = alpha / (alpha + beta)
         edges = np.concatenate([mean - h, mean + h])
         t = np.unique(np.concatenate([eval_grid(101), edges]))
         assert np.all(np.isin(edges, t))
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
-        assert sum(rows) < post.mu.size * t.size
-        np.testing.assert_allclose(vals, dense_cdf(post, 700, 1000, t), rtol=0, atol=1e-15 + 1e-14)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        assert sum(rows) < grid.mu.size * t.size
+        np.testing.assert_allclose(vals, dense_cdf(grid, w, 700, 1000, t), rtol=0, atol=1e-15 + 1e-14)
 
     def test_error_against_full_grid_within_quad_eps(self):
         # MBPP counts on the default grid at the box corner where dropping
         # the lightest cells' mass erred most (2.2e-11)
         dom = one_subdomain_system(113, 257).domains[0]
-        post = hyper_posterior(dom, HyperConfig(1, 12, 25, 1), build_grid(GridSpec()))
+        grid = build_grid(GridSpec())
+        w = posterior(dom, HyperConfig(1, 12, 25, 1), grid)
         t = eval_grid(201)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
-        assert np.max(np.abs(vals - dense_cdf(post, 113, 257, t))) <= QUAD_EPS
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        assert np.max(np.abs(vals - dense_cdf(grid, w, 113, 257, t))) <= QUAD_EPS
 
     def test_negligible_cell_is_a_step_at_its_mean(self, monkeypatch):
         # the light cell has G w <= QUAD_EPS: no evaluation, and its whole
         # weight counts from its mean on, below the heavy cell's window
-        post = self.spread_grid([0.5, 0.05], [5.0, 5000.0])
-        post.weights = np.array([1.0 - QUAD_EPS / 2, QUAD_EPS / 2])
+        grid, _ = self.spread_grid([0.5, 0.05], [5.0, 5000.0])
+        w = np.array([1.0 - QUAD_EPS / 2, QUAD_EPS / 2])
         dom = one_subdomain_system(700, 1000).domains[0]
-        alpha, beta = dense_shapes(post, 700, 1000)
+        alpha, beta = dense_shapes(grid, 700, 1000)
         light_mean = alpha[1] / (alpha[1] + beta[1])  # 0.158; the heavy window starts at 0.58
         evaluated = []
 
@@ -266,7 +267,7 @@ class TestSubdomainMarginalCdf:
 
         monkeypatch.setattr(inference, "beta_cdf", spy)
         t = eval_grid(101)
-        vals = subdomain_marginal_cdf(dom, 0, post, t)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
         assert evaluated and not np.any(np.concatenate(evaluated) == alpha[1])
         assert np.all(vals[t < light_mean] == 0.0)
         np.testing.assert_array_equal(vals[(t >= light_mean) & (t < 0.5)], QUAD_EPS / 2)
@@ -284,29 +285,31 @@ class TestSubdomainMarginalCdf:
         grids = [build_grid(GridSpec()), build_grid(GridSpec(n_mu=100, n_nu=80))]
         sup = 0.0
         for h in generate_configs(dom.box, 16, 0):
-            f, g = (subdomain_marginal_cdf(dom, 0, hyper_posterior(dom, h, grid), t) for grid in grids)
+            f, g = (subdomain_marginal_cdf(dom, 0, grid, t, posterior(dom, h, grid)) for grid in grids)
             sup = max(sup, np.max(np.abs(f - g)))
         assert sup <= 1e-3
 
     def test_unsorted_t_rejected(self):
         dom = one_subdomain_system().domains[0]
-        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), build_grid(POINT_GRID))
+        grid = build_grid(POINT_GRID)
+        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
         with pytest.raises(ValueError):
-            subdomain_marginal_cdf(dom, 0, post, np.array([0.5, 0.2]))
+            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 0.2]), w)
         with pytest.raises(ValueError):
-            subdomain_marginal_cdf(dom, 0, post, np.array([0.5, 1.5]))
+            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 1.5]), w)
 
     def test_peak_bounded_by_block_not_kept_cells(self, monkeypatch):
         # two trials leave the posterior close to the diffuse prior, so most
         # of the 8000 cells are evaluated: one (evaluated, T) matrix would
         # take about 11 MB, a block 0.4 MB
         dom = one_subdomain_system(1, 2).domains[0]
-        post = hyper_posterior(dom, HyperConfig(1, 1, 1, 1), build_grid(GridSpec(n_mu=100, n_nu=80)))
+        grid = build_grid(GridSpec(n_mu=100, n_nu=80))
+        w = posterior(dom, HyperConfig(1, 1, 1, 1), grid)
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
         tracemalloc.start()
         try:
-            subdomain_marginal_cdf(dom, 0, post, t)
+            subdomain_marginal_cdf(dom, 0, grid, t, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,7 +327,7 @@ def gpt4o_blocks(k=24):
     for i, dom in enumerate(system.domains):
         log_lik = log_marginal_likelihood_grid(dom, grid)
         configs = generate_configs(dom.box, k, RngState(20250817).substream(1, i).seed)
-        weights = np.array([hyper_posterior(dom, h, grid, log_lik=log_lik).weights for h in configs])
+        weights = hyper_posterior(dom, configs, grid, log_lik).weights
         out.append((dom, grid, [weights[n : n + CONFIG_BLOCK] for n in range(0, k, CONFIG_BLOCK)]))
     return out
 
@@ -341,13 +344,12 @@ class TestConfigBlocks:
         for dom, grid, blocks in gpt4o_blocks():
             for weights in blocks:
                 for j, sub in enumerate(dom.subdomains):
-                    rows = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=weights), self.T)
+                    rows = subdomain_marginal_cdf(dom, j, grid, self.T, weights)
                     assert rows.shape == (len(weights), self.T.size)
                     singles = []
                     for w, got in zip(weights, rows):
-                        post = dataclasses.replace(grid, weights=w)
-                        singles.append(subdomain_marginal_cdf(dom, j, post, self.T))
-                        mixture = dense_cdf(post, sub.correct, sub.total, self.T)
+                        singles.append(subdomain_marginal_cdf(dom, j, grid, self.T, w))
+                        mixture = dense_cdf(grid, w, sub.correct, sub.total, self.T)
                         # well inside QUAD_EPS
                         assert np.max(np.abs(got - mixture)) <= 1e-14
                     # the subdomain's band over the block moves by at most 1e-14
@@ -358,8 +360,8 @@ class TestConfigBlocks:
         for dom, grid, blocks in gpt4o_blocks(k=4):
             for j in range(len(dom.subdomains)):
                 for w in blocks[0]:
-                    single = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w), self.T)
-                    block = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w[None, :]), self.T)
+                    single = subdomain_marginal_cdf(dom, j, grid, self.T, w)
+                    block = subdomain_marginal_cdf(dom, j, grid, self.T, w[None, :])
                     assert single.shape == (self.T.size,) and block.shape == (1, self.T.size)
                     np.testing.assert_array_equal(block[0], single)
 
@@ -376,7 +378,7 @@ class TestConfigBlocks:
             return beta_cdf(tk, a, b)
 
         monkeypatch.setattr(inference, "beta_cdf", spy)
-        subdomain_marginal_cdf(dom, 0, dataclasses.replace(grid, weights=weights), t)
+        subdomain_marginal_cdf(dom, 0, grid, t, weights)
         alpha, beta = dense_shapes(grid, sub.correct, sub.total)
         mean = alpha / (alpha + beta)
         # each config's own window, then the union over the block
@@ -401,16 +403,15 @@ class TestConfigBlocks:
         for dom, grid, blocks in gpt4o_blocks(k=100):
             weights = np.concatenate(blocks)
             for j in range(len(dom.subdomains)):
-                rows = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=weights), t)
+                rows = subdomain_marginal_cdf(dom, j, grid, t, weights)
                 assert rows.shape == (len(weights), n_t)
                 for w, got in zip(weights, rows):
-                    single = subdomain_marginal_cdf(dom, j, dataclasses.replace(grid, weights=w[None, :]), t)
+                    single = subdomain_marginal_cdf(dom, j, grid, t, w[None, :])
                     assert np.max(np.abs(got - single[0])) <= 1e-14
 
     def test_empty_t(self):
         dom, grid, blocks = gpt4o_blocks(k=4)[0]
-        block = dataclasses.replace(grid, weights=blocks[0])
-        assert subdomain_marginal_cdf(dom, 0, block, np.array([])).shape == (4, 0)
+        assert subdomain_marginal_cdf(dom, 0, grid, np.array([]), blocks[0]).shape == (4, 0)
 
     @pytest.mark.parametrize("k", [1, CONFIG_BLOCK, CONFIG_BLOCK + 1, 2 * CONFIG_BLOCK + 1])
     def test_partial_blocks_thread_invariant(self, k):
@@ -437,8 +438,8 @@ class TestSampleDomain:
     def test_single_subdomain_identity(self):
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
-        sl = sample_domain(dom, post, 500, RngState(5))
+        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        sl = sample_domain(dom, grid, w, 500, RngState(5))
         np.testing.assert_array_equal(sl.p, sl.theta[:, 0])
 
     def test_convex_combination(self):
@@ -448,8 +449,8 @@ class TestSampleDomain:
             box=default_box(),
         )
         grid = build_grid(POINT_GRID)
-        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
-        sl = sample_domain(dom, post, 2000, RngState(6))
+        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        sl = sample_domain(dom, grid, w, 2000, RngState(6))
         np.testing.assert_allclose(sl.p, 0.5 * sl.theta[:, 0] + 0.5 * sl.theta[:, 1])
         assert np.all(sl.p <= sl.theta.max(axis=1) + 1e-15)
         assert np.all(sl.p >= sl.theta.min(axis=1) - 1e-15)
@@ -458,12 +459,12 @@ class TestSampleDomain:
         # degenerate grid: p samples are Beta(4,8); DKW at S=1e4, 99%
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        post = hyper_posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
         s = 10_000
         bound = math.sqrt(math.log(2 / 0.01) / (2 * s))
         failures = 0
         for seed in range(5):
-            sl = sample_domain(dom, post, s, RngState(seed))
+            sl = sample_domain(dom, grid, w, s, RngState(seed))
             t = eval_grid(201)
             emp = empirical_cdf(sl.p, t)
             if np.max(np.abs(emp - beta_cdf(t, 4.0, 8.0))) > bound:
@@ -480,11 +481,11 @@ class TestSampleDomain:
         dom_perm = DomainSpec((sub_b, sub_a), (0.7, 0.3), box)
         grid = build_grid(GridSpec(n_mu=10, n_nu=8))
         h = HyperConfig(2, 3, 2, 2)
-        post = hyper_posterior(dom, h, grid)
-        post_perm = hyper_posterior(dom_perm, h, grid)
+        w = posterior(dom, h, grid)
+        w_perm = posterior(dom_perm, h, grid)
         s = 4000
-        sl = sample_domain(dom, post, s, RngState(11))
-        sl_perm = sample_domain(dom_perm, post_perm, s, RngState(12))
+        sl = sample_domain(dom, grid, w, s, RngState(11))
+        sl_perm = sample_domain(dom_perm, grid, w_perm, s, RngState(12))
         t = eval_grid(201)
         gap = np.max(np.abs(empirical_cdf(sl.p, t) - empirical_cdf(sl_perm.p, t)))
         assert gap <= 2 * math.sqrt(math.log(2 / 1e-6) / (2 * s))
@@ -497,8 +498,8 @@ class TestSampleDomain:
         means = []
         for c in (40, 45):
             dom = one_subdomain_system(c, 100).domains[0]
-            post = hyper_posterior(dom, h, grid)
-            sl = sample_domain(dom, post, s, RngState(21))
+            w = posterior(dom, h, grid)
+            sl = sample_domain(dom, grid, w, s, RngState(21))
             means.append(sl.theta[:, 0].mean())
         se = 1.0 / math.sqrt(12 * s)  # crude bound on the SE of a [0,1] mean
         assert means[1] - means[0] > 3 * se
@@ -525,36 +526,41 @@ class TestWorkUnitIdentity:
         return w / z, float(m + np.log(z))
 
     @staticmethod
-    def reference_draws(domain, post, s, rng):
-        cum = np.cumsum(post.weights)
+    def reference_draws(domain, grid, weights, s, rng):
+        cum = np.cumsum(weights)
         cum[-1] = 1.0
         cells = np.searchsorted(cum, rng.substream(0).gen.random(size=s), side="right")
-        mu, nu = post.mu[cells], post.nu[cells]
+        mu, nu = grid.mu[cells], grid.nu[cells]
         theta = np.empty((s, len(domain.subdomains)))
         for j, sub in enumerate(domain.subdomains):
             alpha = sub.correct + mu * nu
             beta = sub.total - sub.correct + (1.0 - mu) * nu
             theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
-        return theta, theta @ np.asarray(domain.op_weights)
+        return theta, np.minimum(theta @ np.asarray(domain.op_weights), 1.0)
 
     def test_gpt4o_corners_and_interior(self):
-        # both gpt4o domains, their 16 corner configs and 8 interior ones
+        # both gpt4o domains: a block of their 16 corner configs, a partial
+        # block of 8 interior ones and a block of one config; every row
+        # equals its config's own formula
         system = parse_config(GPT4O_CONFIG).system
         grid = build_grid(GridSpec())
         master = RngState(20250817)
         for i, dom in enumerate(system.domains):
             log_lik = log_marginal_likelihood_grid(dom, grid)
             configs = generate_configs(dom.box, 24, master.substream(1, i).seed)
-            for k, h in enumerate(configs):
-                post = hyper_posterior(dom, h, grid, log_lik=log_lik)
-                weights, log_evidence = self.reference_posterior(h, grid, log_lik)
-                np.testing.assert_array_equal(post.weights, weights)
-                assert post.log_evidence == log_evidence
-                rng = master.substream(2, i, k)
-                draws = sample_domain(dom, post, 3000, rng)
-                theta, p = self.reference_draws(dom, post, 3000, rng)
-                np.testing.assert_array_equal(draws.theta, theta)
-                np.testing.assert_array_equal(draws.p, p)
+            for first, last in [(0, CONFIG_BLOCK), (CONFIG_BLOCK, 24), (23, 24)]:
+                post = hyper_posterior(dom, configs[first:last], grid, log_lik)
+                assert post.weights.shape == (last - first, grid.size)
+                assert post.log_evidence.shape == (last - first,)
+                for b, k in enumerate(range(first, last)):
+                    weights, log_evidence = self.reference_posterior(configs[k], grid, log_lik)
+                    np.testing.assert_array_equal(post.weights[b], weights)
+                    assert post.log_evidence[b] == log_evidence
+                    rng = master.substream(2, i, k)
+                    draws = sample_domain(dom, grid, post.weights[b], 3000, rng)
+                    theta, p = self.reference_draws(dom, grid, post.weights[b], 3000, rng)
+                    np.testing.assert_array_equal(draws.theta, theta)
+                    np.testing.assert_array_equal(draws.p, p)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k", [4, 16])
@@ -573,7 +579,7 @@ class TestWorkUnitIdentity:
             return real(seed)
 
         monkeypatch.setattr(np.random, "PCG64", counting)
-        inference._domain(dom, 0, grid, mc, master, threads, lambda block, draws: [draws(b) for b in range(len(block.weights))])
+        inference._domain(dom, 0, grid, mc, master, threads, lambda weights, draws: [draws(b) for b in range(len(weights))])
         assert len(built) == k * (len(dom.subdomains) + 1)
 
 
@@ -665,8 +671,8 @@ class TestSampleSystem:
         sys_ = one_subdomain_system()
         grid = build_grid(POINT_GRID)
         h = HyperConfig(2, 2, 2, 2)
-        post = hyper_posterior(sys_.domains[0], h, grid)
-        sl = sample_domain(sys_.domains[0], post, 300, RngState(2))
+        w = posterior(sys_.domains[0], h, grid)
+        sl = sample_domain(sys_.domains[0], grid, w, 300, RngState(2))
         p_l = sample_system(sys_, (0,), [[sl.p]])
         np.testing.assert_array_equal(p_l, sl.p)
 
@@ -862,6 +868,38 @@ class TestInfer:
                 assert np.all(np.diff(curve) >= -1e-12)
                 assert curve[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(env.lower <= env.upper + 1e-15)
+
+    @staticmethod
+    def all_correct_domain(omega, label="d"):
+        """Three subdomains at 1000/1000 with d in [20, 25]: most accuracy
+        draws round to 1."""
+        box = dataclasses.replace(default_box(), d_range=(20.0, 25.0))
+        return DomainSpec(tuple(SubdomainData(1000, 1000, f"{label}{j}") for j in range(3)), omega, box, label=label)
+
+    def test_aggregates_clipped_at_one(self):
+        # weights that sum to 1 + 2.2e-16 put an aggregate of 1s just above
+        # 1; unclipped, the domain and system CDFs read 0.148 at t = 1 and
+        # E[p ** 2**53] reached 6.30
+        omega, even = (0.33, 0.56, 0.11), (1 / 3, 1 / 3, 1 / 3)
+        assert sum(omega) > 1.0 and sum(even) == 1.0
+        query = ReliabilityQuery((1, 10**15, 2**53))
+        mc = McSpec(samples_per_config=2000, configs_per_domain=16)
+        # the domain aggregate, under omega as op weights
+        rep = infer(SystemSpec((self.all_correct_domain(omega),), (1.0,)), None, mc, query)
+        # the system aggregate, under omega as domain weights
+        system = SystemSpec(tuple(self.all_correct_domain(even, f"d{i}") for i in range(3)), omega)
+        rep_system = infer(system, GridSpec(n_mu=10, n_nu=8), dataclasses.replace(mc, configs_per_domain=2), query)
+        for band in (rep.bands[("domain", "d")], rep.bands[("system", "system")], rep_system.bands[("system", "system")]):
+            assert band.lower[-1] == band.upper[-1] == 1.0
+            assert np.all(band.expected_upper <= 1.0)
+        # a second profile's domain aggregate is clipped like the first's
+        other = DomainSpec((SubdomainData(500, 1000, "x0"),), (1.0,), default_box(), label="x")
+        mixed = [SystemSpec((self.all_correct_domain(w), other), (0.5, 0.5)) for w in (even, omega)]
+        grid, mc = GridSpec(n_mu=10, n_nu=8), McSpec(samples_per_config=500, configs_per_domain=4)
+        profiles = profile_samples(mixed, grid, mc)
+        list(next(profiles))
+        for a, b in zip(next(profiles), system_sample_arrays(mixed[1], grid, mc)):
+            np.testing.assert_array_equal(a, b)
 
     def test_credal_point_inside_box(self):
         # a degenerate box at a corner of the original box yields an envelope
