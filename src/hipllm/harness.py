@@ -53,6 +53,9 @@ INFORMATIVE_KAPPA = 50.0
 # Posterior sample count for the closed-form baselines.
 BASELINE_SAMPLES = 20_000
 
+# Warm timed passes per scaling-sweep point; a point's time is their median.
+SWEEP_PASSES = 3
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -291,11 +294,14 @@ def run_scaling_sweep(
     and `default_grid()`; a G value scales the default grid
     (`_grid_for_size`).
 
-    The timed run is single-threaded so fitted exponents are independent of
-    scheduling.  Peak memory is the tracemalloc peak of an untimed run of
-    the same point just before it, because tracing slows every allocation
-    (by 14-18% of CPU time at G=500 and G=4000); that run also warms the
-    point, so the first point is not timed cold.
+    The timed runs are single-threaded so fitted exponents are independent
+    of scheduling.  Peak memory is the tracemalloc peak of an untimed run of
+    each point, because tracing slows every allocation (by 14-18% of CPU
+    time at G=500 and G=4000); those runs also warm the points, so no point
+    is timed cold.  A point's time is the median of SWEEP_PASSES warm timed
+    runs, taken in interleaved rounds over the points after every point's
+    traced run: host drift lasts tens of seconds, so each point sees the
+    same spread of it.
     """
     if parameter not in {"m", "n", "K", "S", "G"}:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -303,7 +309,7 @@ def run_scaling_sweep(
         raise ValueError("sweep values must be positive and increasing")
     base_mc = replace(default_mc(), master_seed=seed)
     query = ReliabilityQuery(horizons=(1,))
-    records = []
+    points, peaks = [], []
     for v in values:
         m, n_bar, grid, mc = 2, 2, default_grid(), base_mc
         v = int(v)
@@ -317,20 +323,24 @@ def run_scaling_sweep(
             mc = replace(mc, samples_per_config=v)
         elif parameter == "G":
             grid = _grid_for_size(v)
-        system = _bench_system(m, n_bar)
+        points.append((_bench_system(m, n_bar), grid, mc, query))
         tracemalloc.start()
         try:
-            infer(system, grid, mc, query, threads=1)
+            infer(*points[-1], threads=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        start = time.perf_counter()
-        infer(system, grid, mc, query, threads=1)
-        elapsed = time.perf_counter() - start
-        records.append(
-            ScalingRecord(parameter=parameter, value=float(v), seconds=elapsed, peak_bytes=peak)
-        )
-    return records
+        peaks.append(peak)
+    seconds = [[] for _ in points]
+    for _ in range(SWEEP_PASSES):
+        for point, times in zip(points, seconds):
+            start = time.perf_counter()
+            infer(*point, threads=1)
+            times.append(time.perf_counter() - start)
+    return [
+        ScalingRecord(parameter=parameter, value=float(int(v)), seconds=float(np.median(times)), peak_bytes=peak)
+        for v, times, peak in zip(values, seconds, peaks)
+    ]
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:

@@ -70,9 +70,11 @@ __all__ = [
     "system_sample_arrays",
 ]
 
-# Sizes the quadrature's blocks: a block holds at most QUAD_BLOCK * T // 8
-# in-window Beta-CDF evaluations, so its eight or so flat per-evaluation
-# arrays take about the bytes of one (QUAD_BLOCK, T) matrix.
+# Sizes the quadrature's chunks: a chunk holds whole cells, at most
+# QUAD_BLOCK of them and at most QUAD_BLOCK * T // 8 in-window Beta-CDF
+# evaluations, so its (cells, T) values and its few flat per-evaluation
+# arrays take about the bytes of one (QUAD_BLOCK, T) matrix, for any number
+# of configs.
 QUAD_BLOCK = 256
 
 # Configs per work unit: a block's quadrature evaluates each (cell, t) once
@@ -87,6 +89,11 @@ QUAD_EPS = 1e-12
 # expected_reliability counts a term exp(n_F * log p) below e**LOG_TINY as 0:
 # numpy's `exp` is fast down to about -708 and slow below.
 LOG_TINY = -700.0
+
+# expected_reliability takes its horizons in blocks of at most this many
+# (horizon, sample) terms, at least one horizon a block: a 1 MiB temporary
+# per call, which holds 43 horizons at S = 3000.
+RELIABILITY_BLOCK = 1 << 17
 
 # Substream stage tags (first path element after the master seed).
 _STAGE_CONFIGS = 1
@@ -177,9 +184,11 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding.  (G,)
     weights give the same values, bit for bit, as the (1, G) block.
 
-    The evaluations run in chunks of QUAD_BLOCK * T // 8 // B, at least
-    one, so a chunk's (B, evaluations) products take the bytes of a one-row
-    chunk whenever B <= 32 T.
+    The evaluated cells run in chunks of whole cells, at most QUAD_BLOCK of
+    them and at most QUAD_BLOCK * T // 8 evaluations; a window holds at most
+    T, so a cell always fits.  A chunk's values form one (cells, T) matrix,
+    zero outside the windows, which reaches all B rows in one product with
+    the chunk's (B, cells) weights, so no chunk grows or shrinks with B.
     """
     t = np.asarray(t, dtype=float)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
@@ -196,29 +205,28 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     h = np.sqrt(np.log(np.maximum(n_cells * w_max / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
     mean = alpha / (alpha + beta)
     lo, hi = np.searchsorted(t, [mean - h, mean + h])
-    # row r's bins are r * width .. r * width + width - 1 of one flat bincount
+    # a cell adds its whole weight at every t past its window: row r's bins
+    # are r * (T + 1) .. r * (T + 1) + T of one flat bincount
     row = np.arange(n_rows)[:, None]
-    # a cell adds its whole weight at every t past its window
     past = np.bincount((row * (n_t + 1) + hi).ravel(), weights=w.ravel(), minlength=n_rows * (n_t + 1))
     cdf = np.cumsum(past.reshape(n_rows, n_t + 1)[:, :n_t], axis=1)
-    # cell c's flat evaluations are starts[c] <= e < ends[c]; e sits at t
-    # index e - shift[c]
+    del w_max, h, mean, past  # freed before the chunks: keeps the measured peak down
+    live = np.flatnonzero(hi > lo)
+    lo, hi = lo[live], hi[live]
     ends = np.cumsum(hi - lo)
-    starts, shift = ends - (hi - lo), ends - hi
-    del w_max, h, mean, lo, hi, past  # freed before the blocks: keeps the measured peak down
-    evals, budget = int(ends[-1]), max(QUAD_BLOCK * n_t // 8 // n_rows, 1)
-    firsts = np.arange(0, evals, budget)
-    lasts = np.minimum(firsts + budget, evals)
-    # each block's cell range [c0, c1): the cells of its first and last evaluation
-    c0s = np.searchsorted(ends, firsts, side="right")
-    c1s = np.searchsorted(ends, lasts - 1, side="right") + 1
-    for first, last, c0, c1 in zip(firsts, lasts, c0s, c1s):
-        # the block's evaluations of each cell, the first and last cell trimmed
-        count = np.minimum(ends[c0:c1], last) - np.maximum(starts[c0:c1], first)
-        c = np.repeat(np.arange(c0, c1), count)
-        k = np.arange(first, last) - shift[c]
-        mixed = w[:, c] * beta_cdf(t[k], alpha[c], beta[c])
-        cdf += np.bincount((row * n_t + k).ravel(), weights=mixed.ravel(), minlength=n_rows * n_t).reshape(n_rows, n_t)
+    budget, span = QUAD_BLOCK * n_t // 8, np.arange(n_t)
+    c0 = 0
+    while c0 < live.size:
+        # whole cells, up to QUAD_BLOCK of them and `budget` evaluations
+        done = ends[c0 - 1] if c0 else 0
+        c1 = min(int(np.searchsorted(ends, done + budget, side="right")), c0 + QUAD_BLOCK)
+        cells = live[c0:c1]
+        inside = (span >= lo[c0:c1, None]) & (span < hi[c0:c1, None])
+        r, k = np.nonzero(inside)
+        block = np.zeros(inside.shape)
+        block[r, k] = beta_cdf(t[k], alpha[cells][r], beta[cells][r])
+        cdf += w[:, cells] @ block
+        c0 = c1
     return cdf.reshape(np.shape(weights)[:-1] + (n_t,))
 
 
@@ -302,8 +310,10 @@ def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.nda
     """Monte Carlo mean of each horizon's power n_F >= 1 of the sampled
     probabilities in [0, 1]: the (H,) row of E[p ** n_F].
 
-    Each power is exp(n_F * log p), one `exp` pass over the (H, S) block;
-    n_F = 1 takes p itself, so E[p] is the plain sample mean.  A term whose
+    n_F = 1 gives the plain sample mean E[p], with no log or exp.  Every
+    other power is exp(n_F * log p), one `exp` pass over an (H, S) block of
+    at most RELIABILITY_BLOCK terms (one horizon when S is larger), so the
+    temporary stays bounded however many horizons there are.  A term whose
     exponent lies below LOG_TINY (p ** n_F < e**-700, about 1e-304; p = 0
     among them) counts as exactly 0, which moves a mean by less than
     1e-304 and keeps `exp` off its slow underflow path.  Rounding log p,
@@ -314,16 +324,24 @@ def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.nda
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("expected_reliability requires at least one sample")
-    with np.errstate(divide="ignore"):
-        log_p = np.log(samples)
     n_f = np.asarray(horizons, dtype=float)
-    x = np.multiply.outer(n_f, log_p)
-    tiny = x < LOG_TINY
-    np.maximum(x, LOG_TINY, out=x)
-    np.exp(x, out=x)
-    x[tiny] = 0.0
-    x[n_f == 1.0] = samples
-    return x.mean(axis=1)
+    # every row starts as E[p], the n_F = 1 value; the others are overwritten
+    out = np.full(n_f.size, samples.mean())
+    powers = np.flatnonzero(n_f != 1.0)
+    if powers.size:
+        with np.errstate(divide="ignore"):
+            log_p = np.log(samples)
+        step = max(RELIABILITY_BLOCK // samples.size, 1)
+        for first in range(0, powers.size, step):
+            rows = powers[first : first + step]
+            x = np.multiply.outer(n_f[rows], log_p)
+            tiny = x < LOG_TINY
+            np.maximum(x, LOG_TINY, out=x)
+            np.exp(x, out=x)
+            x[tiny] = 0.0
+            out[rows] = x.mean(axis=1)
+            del x, tiny  # freed before the next block is made
+    return out
 
 
 def _map(fn, n: int, threads: int) -> list:

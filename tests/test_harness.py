@@ -243,12 +243,14 @@ class TestScaling:
             harness.time, "perf_counter", lambda: clock.append(tracemalloc.is_tracing()) or real_clock()
         )
         run_scaling_sweep("m", [1, 2], seed=1)
-        assert tracing == [True, False, True, False]
-        assert clock == [False] * 4
+        # each point's traced run, then three interleaved rounds of timed runs
+        assert tracing == [True, True] + [False] * 6
+        assert clock == [False] * 12
 
     def test_timed_run_follows_traced_run_of_its_point(self, monkeypatch):
-        # the traced run warms each point, the first one too, so no point
-        # is timed cold
+        # every point's traced run warms it, the first one too, before any
+        # timed run; the timed runs then go round the points three times,
+        # so host drift spreads over every point alike
         import hipllm.harness as harness
 
         calls = []
@@ -256,10 +258,22 @@ class TestScaling:
             harness, "infer", lambda *a, **k: calls.append((tracemalloc.is_tracing(), a, k))
         )
         run_scaling_sweep("G", [500, 1000, 2000])
-        assert [traced for traced, _, _ in calls] == [True, False] * 3
-        for (_, *traced), (_, *timed) in zip(calls[::2], calls[1::2]):
-            assert timed == traced
+        assert [traced for traced, _, _ in calls] == [True] * 3 + [False] * 9
+        traced = [call[1:] for call in calls[:3]]
+        assert [call[1:] for call in calls[3:]] == traced * 3
         assert len({str(a) for _, a, _ in calls}) == 3
+
+    def test_point_time_is_median_of_timed_runs(self, monkeypatch):
+        import hipllm.harness as harness
+
+        monkeypatch.setattr(harness, "infer", lambda *a, **k: None)
+        # one (start, stop) pair per timed run, round by round: point 1 takes
+        # 5, 2 and 3 s, point 2 takes 1, 9 and 4 s
+        durations = iter([5.0, 1.0, 2.0, 9.0, 3.0, 4.0])
+        ticks = iter(t for d in durations for t in (0.0, d))
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: next(ticks))
+        records = run_scaling_sweep("m", [1, 2], seed=1)
+        assert [r.seconds for r in records] == [3.0, 4.0]
 
     def test_sweep_inputs(self, monkeypatch):
         # the systems and grids handed to the engine, recorded without running it
@@ -269,8 +283,9 @@ class TestScaling:
         monkeypatch.setattr(
             harness, "infer", lambda system, grid, *a, **k: calls.append((system, grid))
         )
+        # the first runs are the points' traced runs, one per point in order
         run_scaling_sweep("n", [1, 3])
-        systems = [validate(system)[0] for system, _ in calls[::2]]
+        systems = [validate(system)[0] for system, _ in calls[:2]]
         assert [[len(d.subdomains) for d in s.domains] for s in systems] == [[1, 1], [3, 3]]
         cycle = [375, 325, 290, 225]
         for s in systems:
@@ -285,6 +300,6 @@ class TestScaling:
 
         calls.clear()
         run_scaling_sweep("G", [500, 2000, 4000])
-        grids = [(g.n_mu, g.n_nu) for _, g in calls[::2]]
+        grids = [(g.n_mu, g.n_nu) for _, g in calls[:3]]
         assert grids == [(25, 20), (50, 40), (71, 57)]
-        assert calls[2][1] == default_grid()
+        assert calls[1][1] == default_grid()

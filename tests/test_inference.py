@@ -370,6 +370,15 @@ class TestConfigBlocks:
         # widest window any corner gives the cell is evaluated exactly once
         dom, grid, blocks = gpt4o_blocks(k=CONFIG_BLOCK)[0]
         weights, sub, t = blocks[0], dom.subdomains[0], self.T
+        # the chunk in flight, betainc's temporaries and the per-cell arrays
+        # take about the bytes of one (QUAD_BLOCK, T) matrix, for any B
+        tracemalloc.start()
+        try:
+            subdomain_marginal_cdf(dom, 0, grid, t, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * QUAD_BLOCK * t.size * 8
         seen, rows = [], []
 
         def spy(tk, a, b):
@@ -391,14 +400,28 @@ class TestConfigBlocks:
         order = lambda x: x[np.lexsort(x.T[::-1])]
         np.testing.assert_array_equal(order(got), order(expected))
         assert max(rows) <= QUAD_BLOCK * t.size // 8
-        # the block's (B, evaluations) products stay the size of one
-        # single-config block
-        assert max(rows) * len(weights) <= QUAD_BLOCK * t.size // 8
+
+    def test_every_chunk_but_the_last_is_full(self, monkeypatch):
+        # a chunk takes whole cells until the next one would pass QUAD_BLOCK
+        # cells or QUAD_BLOCK * T // 8 evaluations; a cell holds at most T
+        dom, grid, blocks = gpt4o_blocks(k=CONFIG_BLOCK)[0]
+        t, chunks = self.T, []
+
+        def spy(tk, a, b):
+            chunks.append((len(np.unique(np.column_stack([a, b]), axis=0)), len(a)))
+            return beta_cdf(tk, a, b)
+
+        monkeypatch.setattr(inference, "beta_cdf", spy)
+        subdomain_marginal_cdf(dom, 0, grid, t, blocks[0])
+        budget = QUAD_BLOCK * t.size // 8
+        assert len(chunks) > 1
+        assert all(cells <= QUAD_BLOCK and evals <= budget for cells, evals in chunks)
+        assert all(cells == QUAD_BLOCK or evals > budget - t.size for cells, evals in chunks[:-1])
 
     @pytest.mark.parametrize("n_t", [2, 3])
     def test_block_beyond_chunk_budget(self, n_t):
-        # 100 rows at T <= 3 leave QUAD_BLOCK * T // 8 // B = 0 evaluations
-        # per chunk; a chunk still takes one
+        # 100 rows at T <= 3, the smallest chunk budgets (QUAD_BLOCK * T // 8
+        # = 64 and 96 evaluations): the chunks do not shrink with the rows
         t = eval_grid(n_t)
         for dom, grid, blocks in gpt4o_blocks(k=100):
             weights = np.concatenate(blocks)
@@ -838,6 +861,26 @@ class TestReliabilityTransforms:
         for n, val in zip(horizons, vals):
             assert val == expected_reliability(draws, [n])[0]
         assert vals[0] == vals[3] and vals[1] == vals[5]
+
+    def test_many_horizons_blocked_bit_identical_and_bounded(self):
+        # 2,000 horizons at S = 3000: one (H, S) block would take 48 MB
+        draws = RngState(29).gen.beta(40, 3, size=3000)
+        horizons = np.arange(1, 2001)
+        tracemalloc.start()
+        try:
+            vals = expected_reliability(draws, horizons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the unblocked reference: every horizon's powers in one block
+        x = np.multiply.outer(horizons.astype(float), np.log(draws))
+        tiny = x < inference.LOG_TINY
+        x = np.exp(np.maximum(x, inference.LOG_TINY))
+        x[tiny] = 0.0
+        x[0] = draws
+        np.testing.assert_array_equal(vals, x.mean(axis=1))
+        # the block in flight, its mask and the log draws
+        assert peak < 2 * inference.RELIABILITY_BLOCK * 8
 
     def test_horizon_one_is_the_sample_mean(self):
         # seed 33's mean of exp(log p) differs from mean(p) in the last bit
