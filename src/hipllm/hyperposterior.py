@@ -5,18 +5,21 @@ independent conditional Betas given (mu, nu), with (mu, nu) weighted by
 the product of the Beta-Binomial marginal likelihood and the
 Beta(a,b) x Gamma(c, rate=d) prior.  This module discretizes (mu, nu) on
 a midpoint/log-cell product grid and computes those weights in log space,
-for a block of configs at once: one (B, G) array, a row per config.
+for a block of configs at once: one (B, G) array, a row per config.  The
+priors of a box are one exponential family, so a block's log-priors are
+its natural parameters eta (B, 4) times the grid's statistics T (4, G),
+plus a log-normaliser per config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy import special as sp
 
-from .model import DomainSpec, GridSpec, HyperConfig
+from .model import DomainSpec, GridSpec, HyperConfig, SubdomainData, ValidationError
 from .numerics import DomainError
 
 __all__ = [
@@ -49,73 +52,76 @@ class HyperGrid:
     mu nodes are midpoints of equal cells on (0,1); nu nodes are geometric
     midpoints of log-spaced cells, with linear (d nu) cell measures.
 
-    The node logs log(mu), log(1 - mu) and log(nu) that every config's prior
-    density needs are computed once, when the grid is made, after checking
-    0 < mu < 1 and nu > 0.
+    The statistics T = (log mu, log(1 - mu), log nu, nu) of the prior
+    family are made once, when the grid is made, after checking 0 < mu < 1
+    and finite nu > 0.  `conditional` gives each cell's conditional Betas.
     """
 
     mu: np.ndarray            # (G,) node values, mu varies fastest
     nu: np.ndarray            # (G,)
     log_measure: np.ndarray   # (G,) log of mu-width * nu-width
-    log_mu: np.ndarray = field(init=False, repr=False)    # (G,) log(mu)
-    log1m_mu: np.ndarray = field(init=False, repr=False)  # (G,) log1p(-mu)
-    log_nu: np.ndarray = field(init=False, repr=False)    # (G,) log(nu)
+    T: np.ndarray = field(init=False, repr=False)  # (4, G) sufficient statistics
 
     def __post_init__(self):
-        if np.any(self.mu <= 0.0) or np.any(self.mu >= 1.0) or np.any(self.nu <= 0.0):
-            raise DomainError("grid nodes need 0 < mu < 1 and nu > 0")
-        self.log_mu, self.log1m_mu = np.log(self.mu), np.log1p(-self.mu)
-        self.log_nu = np.log(self.nu)
+        mu_inside = np.all((self.mu > 0.0) & (self.mu < 1.0))
+        if not (mu_inside and np.all((self.nu > 0.0) & (self.nu < np.inf))):
+            raise DomainError("grid nodes need 0 < mu < 1 and finite nu > 0")
+        self.T = _statistics(self.mu, self.nu)
 
     @property
     def size(self) -> int:
         return self.mu.size
 
+    def conditional(self, sub: SubdomainData) -> Tuple[np.ndarray, np.ndarray]:
+        """Each cell's conditional Beta(C + mu nu, N - C + (1 - mu) nu) of
+        the accuracy of a subdomain with C correct of N: (alpha, beta), (G,) each."""
+        return sub.correct + self.mu * self.nu, sub.total - sub.correct + (1.0 - self.mu) * self.nu
+
 
 def build_grid(spec: GridSpec) -> HyperGrid:
-    """Build the unweighted quadrature grid from its spec."""
+    """Build the unweighted quadrature grid from its spec; a nu range whose
+    cells would get a zero or non-finite node or width is a `grid` error."""
     mu_width = 1.0 / spec.n_mu
     mu_nodes = (np.arange(spec.n_mu) + 0.5) * mu_width
 
-    log_edges = np.linspace(np.log(spec.nu_min), np.log(spec.nu_max), spec.n_nu + 1)
-    edges = np.exp(log_edges)
-    nu_nodes = np.sqrt(edges[:-1] * edges[1:])
-    nu_widths = np.diff(edges)
+    with np.errstate(all="ignore"):  # overflow and underflow are refused below
+        edges = np.exp(np.linspace(np.log(spec.nu_min), np.log(spec.nu_max), spec.n_nu + 1))
+        nu_nodes = np.sqrt(edges[:-1] * edges[1:])
+        nu_measure = np.diff(edges) * mu_width
+    cells = np.concatenate([nu_nodes, nu_measure])
+    if not np.all((cells > 0.0) & (cells < np.inf)):
+        why = "gives nu cells with a zero or non-finite node or width"
+        raise ValidationError([("grid", f"nu range [{spec.nu_min}, {spec.nu_max}] {why}")])
 
     mu = np.tile(mu_nodes, spec.n_nu)
     nu = np.repeat(nu_nodes, spec.n_mu)
-    measure = np.repeat(nu_widths, spec.n_mu) * mu_width
-    return HyperGrid(mu=mu, nu=nu, log_measure=np.log(measure))
+    return HyperGrid(mu=mu, nu=nu, log_measure=np.log(np.repeat(nu_measure, spec.n_mu)))
+
+
+def _statistics(mu, nu) -> np.ndarray:
+    """T = (log mu, log(1 - mu), log nu, nu) on a new first axis."""
+    return np.stack(np.broadcast_arrays(np.log(mu), np.log1p(-mu), np.log(nu), nu))
+
+
+def _natural(configs: Sequence[HyperConfig]) -> Tuple[np.ndarray, np.ndarray]:
+    """A block of configs' natural parameters eta = (a - 1, b - 1, c - 1, -d),
+    (B, 4), and their log-normalisers c log d - ln Gamma(c) - ln B(a, b), (B,)."""
+    a, b, c, d = np.array([h.as_tuple() for h in configs], dtype=float).T
+    eta = np.stack([a - 1.0, b - 1.0, c - 1.0, -d], axis=1)
+    return eta, c * np.log(d) - sp.gammaln(c) - sp.betaln(a, b)
 
 
 def log_prior_density(mu, nu, h: HyperConfig):
-    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d).
-
-    Vectorized over mu/nu arrays; mu must lie strictly inside (0, 1).
-    """
+    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d), eta . T plus
+    the log-normaliser; vectorized over mu/nu arrays, 0 < mu < 1."""
     mu_a = np.asarray(mu, dtype=float)
     nu_a = np.asarray(nu, dtype=float)
     if np.any(mu_a <= 0.0) or np.any(mu_a >= 1.0):
         raise DomainError("log_prior_density requires 0 < mu < 1")
     if np.any(nu_a <= 0.0):
         raise DomainError("log_prior_density requires nu > 0")
-    out = np.empty(np.broadcast(mu_a, nu_a).shape)
-    return _log_prior(np.log(mu_a), np.log1p(-mu_a), np.log(nu_a), nu_a, *h.as_tuple(), out)[()]
-
-
-def _log_prior(log_mu, log1m_mu, log_nu, nu, a, b, c, d, out):
-    """`log_prior_density` from the node logs log(mu), log(1 - mu), log(nu),
-    written into `out` with one scratch array and the product d * nu; a,
-    b, c, d may be (B, 1) columns, one row of `out` per config."""
-    scratch = np.multiply(b - 1.0, log1m_mu, out=np.empty_like(out))
-    np.add(np.multiply(a - 1.0, log_mu, out=out), scratch, out=out)
-    out -= sp.betaln(a, b)
-    # the Gamma part, (c log d - gammaln(c) + (c - 1) log nu) - d nu
-    np.multiply(c - 1.0, log_nu, out=scratch)
-    scratch += c * np.log(d) - sp.gammaln(c)
-    scratch -= d * nu
-    out += scratch
-    return out
+    eta, log_norm = _natural([h])
+    return (np.einsum("k,k...->...", eta[0], _statistics(mu_a, nu_a)) + log_norm[0])[()]
 
 
 def log_marginal_likelihood(domain: DomainSpec, mu, nu):
@@ -144,21 +150,26 @@ def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndar
     return log_marginal_likelihood(domain, grid.mu, grid.nu)
 
 
-def hyper_posterior(domain: DomainSpec, configs: Sequence[HyperConfig], grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
+def hyper_posterior(configs: Sequence[HyperConfig], grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
     """Posterior weights over the (mu, nu) grid for a block of precise
-    configs from `log_lik = log_marginal_likelihood_grid(domain, grid)`:
-    row b is config b's, made by its operations alone, in the same order.
+    configs from `log_lik = log_marginal_likelihood_grid(domain, grid)`.
+    Row b's log-weights are eta_b . T (one einsum, whose rows do not depend
+    on the block), its log-normaliser, log_lik and the log cell measure.
 
     Each row's weights sum to 1 and its log_evidence is the quadrature
     estimate of log Pr(counts | config).  Normalization subtracts each row's
     max log-weight before exponentiating, so a row with a finite max sums
     to between 1 and G before dividing; a row without one raises
-    NumericalError naming its config.
+    NumericalError naming its config.  A log-weight that overflows to -inf
+    under a finite max gets weight 0, as would any log-weight of that size:
+    floats near 1.8e308 lie about 1e292 apart.
     """
-    a, b, c, d = np.array([h.as_tuple() for h in configs], dtype=float).T[:, :, None]
-    log_w = _log_prior(grid.log_mu, grid.log1m_mu, grid.log_nu, grid.nu, a, b, c, d, np.empty((len(configs), grid.size)))
-    log_w += log_lik
-    log_w += grid.log_measure
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the max below
+        eta, log_norm = _natural(configs)
+        log_w = np.einsum("bk,kg->bg", eta, grid.T)
+        log_w += log_norm[:, None]
+        log_w += log_lik
+        log_w += grid.log_measure
     m = log_w.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         r = int(np.argmin(np.isfinite(m[:, 0])))

@@ -163,8 +163,9 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     """Deterministic quadrature CDF of one subdomain accuracy on the
     ascending grid t in [0, 1], for one posterior or a block of them.
 
-    Mixture over the G grid cells of conditional Beta CDFs
-    I_t(C + mu*nu, N - C + (1-mu)*nu) with the posterior cell weights w.
+    Mixture over the G grid cells of their conditional Beta CDFs
+    I_t(alpha, beta), from `grid.conditional`, with the posterior cell
+    weights w.
     `weights` is (G,), giving a (T,) CDF, or (B, G), one row per config of
     a block (`hyper_posterior`'s weights), giving (B, T): the rows share the
     grid, so a cell's conditional Beta, and its CDF values, are the same
@@ -181,8 +182,9 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     with G w <= QUAD_EPS in every row gets h = 0: a step at its mean, with
     no evaluation.  Either way a cell errs in a row by at most
     w * min(1, eps) <= QUAD_EPS / G, so each row differs from its full
-    (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding.  (G,)
-    weights give the same values, bit for bit, as the (1, G) block.
+    (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding, and is
+    clipped at 1.  (G,) weights give the same values, bit for bit, as the
+    (1, G) block.
 
     The evaluated cells run in chunks of whole cells, at most QUAD_BLOCK of
     them and at most QUAD_BLOCK * T // 8 evaluations; a window holds at most
@@ -195,9 +197,7 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
         raise ValueError("quadrature t must ascend within [0, 1]")
     w = np.atleast_2d(weights)
     (n_rows, n_cells), n_t = w.shape, t.size
-    sub = domain.subdomains[j]
-    alpha = sub.correct + grid.mu * grid.nu
-    beta = sub.total - sub.correct + (1.0 - grid.mu) * grid.nu
+    alpha, beta = grid.conditional(domain.subdomains[j])
     # each cell's window [lo, hi) of t indices: its mean -/+ h for the tail
     # budget QUAD_EPS / (G w) of its largest weight w, so the union of its
     # rows' windows; empty where G w <= QUAD_EPS
@@ -227,6 +227,7 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
         block[r, k] = beta_cdf(t[k], alpha[cells][r], beta[cells][r])
         cdf += w[:, cells] @ block
         c0 = c1
+    np.minimum(cdf, 1.0, out=cdf)  # a row's weights sum to 1 only within rounding
     return cdf.reshape(np.shape(weights)[:-1] + (n_t,))
 
 
@@ -238,16 +239,14 @@ def sample_domain(domain: DomainSpec, grid: HyperGrid, weights: np.ndarray, s: i
     subdomain accuracy from its conditional Beta, then aggregates with the
     within-domain operational weights, clipped at 1 against rounding.  The
     cells come from substream 0 and subdomain j's Beta draws from substream
-    j + 1.  The Beta parameters are computed once per grid cell and
+    j + 1.  The Beta parameters are the grid's per-cell `conditional`,
     gathered by the drawn cells.
     """
     cells = sample_categorical(rng.substream(0), weights, size=s)
-    a0, b0 = grid.mu * grid.nu, (1.0 - grid.mu) * grid.nu
     theta = np.empty((s, len(domain.subdomains)))
     for j, sub in enumerate(domain.subdomains):
-        alpha = (sub.correct + a0)[cells]
-        beta = (sub.total - sub.correct + b0)[cells]
-        theta[:, j] = rng.substream(j + 1).gen.beta(alpha, beta)
+        alpha, beta = grid.conditional(sub)
+        theta[:, j] = rng.substream(j + 1).gen.beta(alpha[cells], beta[cells])
     p = np.minimum(theta @ np.asarray(domain.op_weights), 1.0)
     return SampleSet(theta=theta, p=p)
 
@@ -368,7 +367,7 @@ def _domain(domain, i, grid, mc, master, threads, unit) -> list:
 
     def work(n):
         first = n * CONFIG_BLOCK
-        weights = hyper_posterior(domain, configs[first : first + CONFIG_BLOCK], grid, log_lik).weights
+        weights = hyper_posterior(configs[first : first + CONFIG_BLOCK], grid, log_lik).weights
 
         def draws(b):
             rng = master.substream(_STAGE_SAMPLES, i, first + b)

@@ -219,6 +219,8 @@ def validate(
     a second call keeps them as they are; all other violations are
     collected with a path to the offending field.
     No two subdomains, and no two domains, may share an `entity_keys` name.
+    Whether the nu range's cells get finite, positive nodes and widths is
+    checked where they are made, by `hyperposterior.build_grid`.
     """
     grid = grid if grid is not None else default_grid()
     mc = mc if mc is not None else default_mc()

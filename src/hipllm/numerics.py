@@ -23,6 +23,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# scipy's betainc can be off by up to 0.5 once alpha + beta falls below
+# about 1e-150.  With both parameters below this bound, Beta(alpha, beta)
+# holds all but about 745 (alpha + beta) of its mass at 0 and 1, so I_t is
+# beta / (alpha + beta) on (0, 1) within a relative 1e-97.
+TINY_BETA = 1e-100
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of a special function."""
@@ -44,7 +50,9 @@ def beta_cdf(t, alpha, beta):
     """Regularized incomplete beta function I_t(alpha, beta).
 
     Accepts scalars or arrays; t must lie in [0, 1] and alpha, beta must be
-    finite and > 0.
+    finite and > 0.  Both parameters below TINY_BETA give the two-point
+    limit.  A nan from scipy's betainc, which it gives near the mean once
+    alpha + beta passes about 1e16, raises DomainError.
     """
     ta = np.asarray(t, dtype=float)
     aa, ba = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
@@ -52,7 +60,14 @@ def beta_cdf(t, alpha, beta):
         raise DomainError("beta_cdf requires t in [0, 1]")
     if not (np.all((0.0 < aa) & (aa < np.inf)) and np.all((0.0 < ba) & (ba < np.inf))):
         raise DomainError("beta_cdf requires finite alpha, beta > 0")
-    return sp.betainc(alpha, beta, t)
+    out = sp.betainc(alpha, beta, t)
+    tiny = (aa < TINY_BETA) & (ba < TINY_BETA) & (0.0 < ta) & (ta < 1.0)
+    if tiny.any():
+        with np.errstate(over="ignore", invalid="ignore"):  # used only where tiny
+            out = np.where(tiny, ba / (aa + ba), out)[()]
+    if np.isnan(out).any():
+        raise DomainError(f"beta_cdf: betainc gave nan, at alpha up to {np.max(aa):.3g}, beta up to {np.max(ba):.3g}")
+    return out
 
 
 def _splitmix64(z: int) -> int:

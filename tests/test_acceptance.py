@@ -104,7 +104,7 @@ def test_criterion_2_degenerate_hierarchy():
     # single node at (mu, nu) = (0.5, 2); posterior there is exactly Beta(4, 8)
     grid = build_grid(GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0))
     config = HyperConfig(1.0, 1.0, 1.0, 1.0)
-    weights = hyper_posterior(domain, [config], grid, log_marginal_likelihood_grid(domain, grid)).weights[0]
+    weights = hyper_posterior([config], grid, log_marginal_likelihood_grid(domain, grid)).weights[0]
 
     t = eval_grid(201)
     exact = beta_cdf(t, 4.0, 8.0)
@@ -238,7 +238,7 @@ def test_criterion_7_extra_successes_shift_right():
         log_lik = log_marginal_likelihood_grid(domain, grid)
         members, means = [], []
         for h in configs:
-            weights = hyper_posterior(domain, [h], grid, log_lik).weights[0]
+            weights = hyper_posterior([h], grid, log_lik).weights[0]
             cdf = subdomain_marginal_cdf(domain, 0, grid, t, weights)
             members.append(cdf)
             # mixture mean of the conditional Beta components
@@ -326,7 +326,7 @@ def test_criterion_9_structural_properties():
     domain_sets = []
     for i, domain in enumerate(system.domains):
         config = generate_configs(domain.box, 4, seed=i)[0]
-        weights = hyper_posterior(domain, [config], hgrid, log_marginal_likelihood_grid(domain, hgrid)).weights[0]
+        weights = hyper_posterior([config], hgrid, log_marginal_likelihood_grid(domain, hgrid)).weights[0]
         ds = sample_domain(domain, hgrid, weights, 1000, RngState(50 + i))
         if np.any(ds.p < ds.theta.min(axis=1) - 1e-12) or np.any(
             ds.p > ds.theta.max(axis=1) + 1e-12

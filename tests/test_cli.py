@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hipllm
 import hipllm.harness as harness
@@ -263,6 +267,21 @@ class TestInfer:
         cfg = write_config(tmp_path, doc)
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "n_nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "nu_min,nu_max",
+        [(1.0, 1.0000000000000002), (1e-5, 1e308), (1e-310, 1e-300)],
+        ids=["zero-width-cells", "nodes-overflow", "nodes-underflow"],
+    )
+    def test_unbuildable_nu_grid_exit_code(self, tmp_path, capsys, nu_min, nu_max):
+        # each range passes 0 < nu_min < nu_max, but its nu cells get a zero
+        # width or a node of 0 or inf; tier-1's RuntimeWarning-as-error
+        # filter also holds the refusal to warn on the way
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["grid"] = {"n_mu": 2, "n_nu": 3, "nu_min": nu_min, "nu_max": nu_max}
+        cfg = write_config(tmp_path, doc)
+        assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error: invalid specification: grid: nu range" in capsys.readouterr().err
 
     def test_count_beyond_float_range_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(DEGENERATE))
@@ -610,3 +629,128 @@ def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "samples per config" in err
     assert "Traceback" not in err
+
+
+# Whole configs at tiny sizes with extreme values: counts up to 2**53, box
+# bounds from 1e-320 to 1.7e308, nu ranges from 1e-310 to 1e308 and
+# horizons up to 2**53.  Each number is drawn from the extreme range or a
+# moderate one, so that many runs get through to a report.
+_extreme_box = st.lists(
+    st.lists(st.one_of(st.floats(1e-320, 1.7e308), st.floats(0.5, 30.0)), min_size=2, max_size=2).map(sorted),
+    min_size=4,
+    max_size=4,
+).map(lambda ivs: dict(zip("abcd", ivs)))
+
+
+@st.composite
+def _subdomain(draw):
+    total = draw(st.one_of(st.integers(0, 2**53), st.integers(0, 1000)))
+    return {"correct": draw(st.integers(0, total)), "total": total}
+
+
+def _split(n):
+    """A weight vector of length n that sums to 1."""
+    return st.floats(0.0, 1.0).map(lambda w: [w, 1.0 - w][:n] if n == 2 else [1.0])
+
+
+@st.composite
+def _domain(draw):
+    subs = draw(st.lists(_subdomain(), min_size=1, max_size=2))
+    return {"subdomains": subs, "omega": draw(_split(len(subs))), "box": draw(_extreme_box)}
+
+
+@st.composite
+def _whole_config(draw):
+    domains = draw(st.lists(_domain(), min_size=1, max_size=2))
+    nu_bound = st.one_of(st.floats(1e-310, 1e308), st.floats(1e-5, 150.0))
+    nu_min, nu_max = sorted(draw(st.lists(nu_bound, min_size=2, max_size=2)))
+    return {
+        "schema_version": 1,
+        "hierarchy": {"domains": domains, "weights": draw(_split(len(domains)))},
+        "grid": {"n_mu": draw(st.integers(1, 6)), "n_nu": draw(st.integers(1, 6)), "nu_min": nu_min, "nu_max": nu_max},
+        "mc": {
+            "samples_per_config": draw(st.integers(1, 40)),
+            "configs_per_domain": draw(st.integers(1, 20)),
+            "pairing_cap": draw(st.integers(1, 30)),
+            "t_grid_size": draw(st.integers(2, 11)),
+            "master_seed": draw(st.integers(0, 2**64 - 1)),
+        },
+        "query": {"horizons": draw(st.lists(st.integers(1, 2**53), min_size=1, max_size=3))},
+        "output": {"csv": False, "json": True, "svg": False},
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_whole_config())
+@example(  # one nu cell at 1.3e16: betainc gave nan at t = mu = 0.75, and exit 0
+    doc={
+        **DEGENERATE,
+        "hierarchy": {"domains": [{"subdomains": [{"correct": 0, "total": 0}], "omega": [1.0]}], "weights": [1.0]},
+        "grid": {"n_mu": 2, "n_nu": 1, "nu_min": 1.0, "nu_max": 1.794263626553018e32},
+        "mc": {"samples_per_config": 1, "configs_per_domain": 1, "pairing_cap": 1, "t_grid_size": 5},
+    }
+)
+@example(  # the quadrature CDF summed its weights to 1.0000000000000004 at t = 1
+    doc={
+        **DEGENERATE,
+        "hierarchy": {"domains": [{"subdomains": [{"correct": 0, "total": 0}], "omega": [1.0]}], "weights": [1.0]},
+        "grid": {"n_mu": 4, "n_nu": 3, "nu_min": 1.0, "nu_max": 2.0},
+        "mc": {"samples_per_config": 1, "configs_per_domain": 1, "pairing_cap": 1, "t_grid_size": 2},
+    }
+)
+@example(  # one nu cell at 1e-155: betainc gave the CDF 0.625, 0.5, 0.375 on (0, 1), and exit 0
+    doc={
+        **DEGENERATE,
+        "hierarchy": {"domains": [{"subdomains": [{"correct": 0, "total": 0}], "omega": [1.0]}], "weights": [1.0]},
+        "grid": {"n_mu": 2, "n_nu": 1, "nu_min": 1e-310, "nu_max": 1.0},
+        "mc": {"samples_per_config": 1, "configs_per_domain": 1, "pairing_cap": 1, "t_grid_size": 5},
+    }
+)
+@example(  # one config's log-prior overflowed to -inf in one cell, with a warning, and exit 0
+    doc={
+        **DEGENERATE,
+        "hierarchy": {
+            "domains": [
+                {
+                    "subdomains": [{"correct": 0, "total": 0}],
+                    "omega": [1.0],
+                    "box": {
+                        "a": [1.0, 1.0],
+                        "b": [1.0, 7.503766984771256e307],
+                        "c": [1.0, 1.0804982784411028e305],
+                        "d": [1.0, 1.0],
+                    },
+                }
+            ],
+            "weights": [1.0],
+        },
+        "grid": {"n_mu": 2, "n_nu": 1, "nu_min": 1.0, "nu_max": 2.0},
+        "mc": {"samples_per_config": 1, "configs_per_domain": 7, "pairing_cap": 1, "t_grid_size": 2},
+    }
+)
+def test_whole_config_exits_cleanly(doc):
+    # every input maps to a documented exit code, and an exit-0 report holds
+    # only finite bands in [0, 1] with lower <= upper and CDFs that rise to
+    # 1.  Overflow on an extreme box or grid is expected on the way to exit
+    # 2 or 3, so warnings are recorded, not raised, and an exit-0 run may
+    # have given none.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = write_config(Path(tmp), doc)
+        code = main(["infer", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+        if code != EXIT_OK:
+            return
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = json.loads((Path(tmp) / "o" / "report.json").read_text())
+    pairs = [(e["lower"], e["upper"]) for e in report["envelopes"]]
+    pairs += [(r["expected_lower"], r["expected_upper"]) for r in report["reliability"]]
+    for lower, upper in pairs:
+        lower, upper = np.array(lower), np.array(upper)
+        assert np.all(np.isfinite(lower) & np.isfinite(upper))
+        assert np.all((lower >= 0.0) & (upper <= 1.0) & (lower <= upper))
+    # a quadrature CDF ends at its weights' sum, 1 within an ulp per cell
+    ulps = doc["grid"]["n_mu"] * doc["grid"]["n_nu"] * np.finfo(float).eps
+    for e in report["envelopes"]:
+        for cdf in (e["lower"], e["upper"]):
+            assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] >= 1.0 - ulps

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hipllm.config import parse_config
 from hipllm.hyperposterior import (
     HyperGrid,
     NumericalError,
@@ -15,6 +18,7 @@ from hipllm.hyperposterior import (
     log_marginal_likelihood_grid,
     log_prior_density,
 )
+from hipllm.inference import CONFIG_BLOCK, generate_configs
 from hipllm.model import (
     DomainSpec,
     GridSpec,
@@ -23,7 +27,9 @@ from hipllm.model import (
     default_box,
     default_grid,
 )
-from hipllm.numerics import DomainError
+from hipllm.numerics import DomainError, RngState
+
+GPT4O_CONFIG = Path(__file__).parent.parent / "configs" / "gpt4o_mini.json"
 
 
 def one_subdomain_domain(c, n):
@@ -34,7 +40,7 @@ def one_subdomain_domain(c, n):
 
 def posterior(dom, h, g):
     """One config's (G,) posterior weights and its log-evidence."""
-    post = hyper_posterior(dom, [h], g, log_marginal_likelihood_grid(dom, g))
+    post = hyper_posterior([h], g, log_marginal_likelihood_grid(dom, g))
     return post.weights[0], post.log_evidence[0]
 
 
@@ -58,18 +64,25 @@ class TestBuildGrid:
         assert g.size == 2000
         assert g.mu.size == g.nu.size == g.log_measure.size == default_grid().size
 
-    def test_node_logs_computed_once(self):
+    def test_node_logs_computed_once(self, monkeypatch):
+        calls = []
+        real = np.log1p
+        monkeypatch.setattr(np, "log1p", lambda *a, **k: calls.append(1) or real(*a, **k))
         g = build_grid(default_grid())
-        np.testing.assert_array_equal(g.log_mu, np.log(g.mu))
-        np.testing.assert_array_equal(g.log1m_mu, np.log1p(-g.mu))
-        np.testing.assert_array_equal(g.log_nu, np.log(g.nu))
-        # the grid is its nodes and measures; the logs are made from them only
+        dom = one_subdomain_domain(6, 10)
+        hyper_posterior([HyperConfig(2, 3, 2, 2)] * 3, g, log_marginal_likelihood_grid(dom, g))
+        assert len(calls) == 1  # T's log(1 - mu), made with the grid, not per posterior
+        np.testing.assert_array_equal(g.T, [np.log(g.mu), np.log1p(-g.mu), np.log(g.nu), g.nu])
+        # the grid is its nodes and measures; T is made from them only
         assert [f.name for f in dataclasses.fields(HyperGrid) if f.init] == ["mu", "nu", "log_measure"]
+        assert [f.name for f in dataclasses.fields(HyperGrid) if not f.init] == ["T"]
         with pytest.raises(TypeError):
-            HyperGrid(mu=g.mu, nu=g.nu, log_measure=g.log_measure, log_mu=g.log_mu)
+            HyperGrid(mu=g.mu, nu=g.nu, log_measure=g.log_measure, T=g.T)
 
     @pytest.mark.parametrize(
-        "mu,nu", [([0.5, 0.0], [1.0, 1.0]), ([0.5, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, 0.0])]
+        "mu,nu",
+        [([0.5, 0.0], [1.0, 1.0]), ([0.5, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, 0.0]),
+         ([0.5, 0.5], [1.0, np.inf]), ([0.5, 0.5], [1.0, np.nan]), ([0.5, np.nan], [1.0, 1.0])],
     )
     def test_nodes_outside_domain_rejected(self, mu, nu):
         with pytest.raises(DomainError):
@@ -204,16 +217,46 @@ class TestHyperPosterior:
         assert mean == pytest.approx(ref_mean, abs=2e-3)
 
     def test_block_rows_are_single_configs(self):
-        # each row of a block is its config's posterior on its own
+        # each row of a block is its config's posterior on its own, bit for
+        # bit, whatever the block's size: extreme configs in a block of 3;
+        # all 20 blocks of 16 configs of the gpt4o run, and partial blocks
+        # of each gpt4o domain's first 8 and 3 configs
         g = build_grid(GridSpec(n_mu=30, n_nu=25))
         dom = one_subdomain_domain(6, 10)
         configs = [HyperConfig(1, 1, 1, 1), HyperConfig(12, 1, 25, 25), HyperConfig(2, 3, 2, 2)]
-        block = hyper_posterior(dom, configs, g, log_marginal_likelihood_grid(dom, g))
-        assert block.weights.shape == (3, g.size) and block.log_evidence.shape == (3,)
-        for b, h in enumerate(configs):
-            weights, log_evidence = posterior(dom, h, g)
-            np.testing.assert_array_equal(block.weights[b], weights)
-            assert block.log_evidence[b] == log_evidence
+        blocks = [(g, log_marginal_likelihood_grid(dom, g), configs)]
+        cfg = parse_config(GPT4O_CONFIG)
+        g = build_grid(cfg.grid)
+        master = RngState(cfg.mc.master_seed)
+        for i, dom in enumerate(cfg.system.domains):
+            log_lik = log_marginal_likelihood_grid(dom, g)
+            configs = generate_configs(dom.box, cfg.mc.configs_per_domain, master.substream(1, i).seed)
+            firsts = range(0, len(configs), CONFIG_BLOCK)
+            blocks += [(g, log_lik, configs[n : n + CONFIG_BLOCK]) for n in firsts]
+            blocks += [(g, log_lik, configs[:size]) for size in (8, 3)]
+        for g, log_lik, configs in blocks:
+            block = hyper_posterior(configs, g, log_lik)
+            assert block.weights.shape == (len(configs), g.size) and block.log_evidence.shape == (len(configs),)
+            for b, h in enumerate(configs):
+                single = hyper_posterior([h], g, log_lik)
+                np.testing.assert_array_equal(block.weights[b], single.weights[0])
+                assert block.log_evidence[b] == single.log_evidence[0]
+
+    def test_block_peak_near_its_weights(self):
+        # a block's log-weights are made in place in its (B, G) result, with
+        # no second (B, G) array beside it
+        g = build_grid(default_grid())
+        dom = one_subdomain_domain(6, 10)
+        log_lik = log_marginal_likelihood_grid(dom, g)
+        configs = generate_configs(default_box(), CONFIG_BLOCK, 0)
+        hyper_posterior(configs, g, log_lik)  # first-call setup stays out of the peak
+        tracemalloc.start()
+        try:
+            post = hyper_posterior(configs, g, log_lik)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * CONFIG_BLOCK * g.size * 8 == 1.5 * post.weights.nbytes
 
     def test_non_finite_row_names_its_config(self):
         # Beta(1e308, 1e308) overflows every log-weight of its row to nan
@@ -221,6 +264,6 @@ class TestHyperPosterior:
         dom = one_subdomain_domain(6, 10)
         configs = [HyperConfig(2, 2, 2, 2), HyperConfig(1e308, 1e308, 3.0, 4.0)]
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-            hyper_posterior(dom, configs, g, log_marginal_likelihood_grid(dom, g))
+            hyper_posterior(configs, g, log_marginal_likelihood_grid(dom, g))
         assert "all grid log-weights non-finite (max=nan)" in str(err.value)
         assert "(a, b, c, d) = (1e+308, 1e+308, 3.0, 4.0)" in str(err.value)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 from scipy.integrate import trapezoid
 
 from hipllm.numerics import (
@@ -137,6 +138,26 @@ class TestBetaCdf:
             beta_cdf(0.5, alpha, beta)
         with pytest.raises(DomainError):
             beta_cdf(np.array([0.2, 0.5]), np.array([1.0, alpha]), np.array([1.0, beta]))
+
+    @pytest.mark.parametrize("alpha,beta", [(2.5e-156, 7.5e-156), (1e-160, 1e-150), (1e-300, 3e-301), (5e-101, 1e-200)])
+    def test_two_point_limit_for_tiny_parameters(self, alpha, beta):
+        # betainc read 1.0 at t = 0.25 and 1.4e-159 at t = 0.75 for
+        # Beta(2.5e-156, 7.5e-156), whose CDF is 0.75 all through (0, 1)
+        import mpmath
+
+        t = np.array([0.0, 1e-300, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 2**-53, 1.0])
+        with mpmath.workdps(30):
+            ref = [float(mpmath.betainc(alpha, beta, 0, tk, regularized=True)) for tk in t]
+        np.testing.assert_allclose(beta_cdf(t, alpha, beta), ref, rtol=1e-15, atol=0)
+        assert np.ndim(beta_cdf(0.5, alpha, beta)) == 0
+
+    def test_nan_from_betainc_refused(self):
+        # betainc gives nan at the mean of Beta(1e17 m, 1e17 (1 - m)); an
+        # exit-0 report once carried it as a subdomain CDF value
+        alpha, beta = 0.75e17, 0.25e17
+        assert np.isnan(sp.betainc(alpha, beta, 0.75))
+        with pytest.raises(DomainError, match="betainc gave nan"):
+            beta_cdf(np.array([0.5, 0.75]), alpha, beta)
 
 
 class TestSampling:
