@@ -26,7 +26,6 @@ from .model import (
     DomainSpec,
     GridSpec,
     HyperBox,
-    HyperConfig,
     McSpec,
     ReliabilityQuery,
     SubdomainData,

@@ -14,8 +14,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import SystemSpec
-from .numerics import RngState, ln_beta
+from .hyperposterior import NumericalError
+from .model import EPS, SystemSpec
+from .numerics import RngState
 
 __all__ = [
     "BetaPosterior",
@@ -26,9 +27,13 @@ __all__ = [
     "informative_prior",
 ]
 
-# Beyond this horizon the telescoping product is replaced by log-Beta
-# differences (same value, bounded cost).
+# Beyond this horizon the telescoping product stops: the rest of log E is
+# one closed form (same value, bounded cost).
 _PRODUCT_HORIZON_LIMIT = 10_000
+
+# E[theta ** n_F] past the product is refused where the rounding of its log,
+# which is its relative error, may exceed this.
+ROUNDING_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,36 +47,73 @@ class BetaPosterior:
 
     @property
     def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
+        """alpha / (alpha + beta); 1 / (1 + beta / alpha) where the sum overflows."""
+        a, b = self.alpha, self.beta
+        return a / (a + b) if a + b < math.inf else 1.0 / (1.0 + b / a)
 
 
 def bb_update(c: int, n: int, prior_alpha: float, prior_beta: float) -> BetaPosterior:
     """Conjugate update: Beta(a, b) prior + C successes of N trials."""
     if not (0 <= c <= n):
         raise ValueError(f"need 0 <= correct <= total, got {c}/{n}")
-    return BetaPosterior(prior_alpha + c, prior_beta + n - c)
+    return BetaPosterior(prior_alpha + c, prior_beta + (n - c))
+
+
+def _log_tail(x: float, b: float, m: int) -> Tuple[float, float]:
+    """S = sum_{k < m} log1p(b / (x + k)) for x >= 10,000, and a bound on
+    its rounding.
+
+    S = G(x + m) - G(x), where G(y) = ln Gamma(y + b) - ln Gamma(y)
+    = (y - 1/2) log1p(b / y) + b ln(y + b) - b + R(y + b) - R(y) and
+    R(z) = 1/(12 z) - 1/(360 z**3) is Stirling's series to its z**-3 term,
+    whose rest is below 1e-23 at z >= 10,000.  Each term is at most b + S,
+    so nothing of the size of ln Gamma(x) cancels.
+    """
+
+    def r(z):
+        return (1.0 / z) * (1.0 / 12.0 - (1.0 / z) ** 2 / 360.0)
+
+    y = x + m
+    terms = ((y - 0.5) * math.log1p(b / y), -(x - 0.5) * math.log1p(b / x), b * math.log1p(m / (x + b)))
+    return math.fsum(terms) + (r(y + b) - r(y) - r(x + b) + r(x)), 4.0 * EPS * sum(map(abs, terms))
 
 
 def bb_expected_future_reliability(post: BetaPosterior, n_f: int) -> float:
     """Posterior mean probability of n_F consecutive failure-free tasks.
 
-    Equals B(alpha + n_F, beta) / B(alpha, beta); evaluated as the exact
-    telescoping product prod_k (alpha + k) / (alpha + beta + k) at small
-    horizons, within 1e-12 relative of it up to n_F = 10,000.  Beyond, it is
-    the exp of a log-Beta difference, whose rounding grows with n_F and
-    beta: against mpmath it measured 1.2e-11 to 4.7e-11 relative at
-    n_F = 10,001, 1.7e-10 at n_F = 10**6 for Beta(1.5, 2.5), and at most
-    9.7e-9 in a scan of alpha <= 2000, beta <= 50 and n_F <= 2 * 10**6.
+    E = B(alpha + n_F, beta) / B(alpha, beta) = prod_{k < n_F} (alpha + k)
+    / (alpha + beta + k), a value in [0, 1], and log E = -sum_k
+    log1p(beta / (alpha + k)).
+    - Up to n_F = 10,000, E is that product, within 1e-12 relative; each
+      factor is 1 / (1 + beta / (alpha + k)) where alpha + beta overflows.
+    - Beyond, E is the product to 10,000 times the exp of `_log_tail` for
+      the rest, within 2e-12 relative of mpmath in random scans.  A
+      product below the smallest normal float gives 0, as E lies below it
+      too.  A tail whose rounding may pass ROUNDING_BOUND raises
+      NumericalError, unless E rounds to 0 all the same.
+    - Where n_F**2 / (2 alpha) * min(1, beta / alpha), a bound on how far
+      log E sits above -n_F log1p(beta / alpha), is below the unit
+      roundoff, E is exp(-n_F log1p(beta / alpha)), with no product.
     """
     if n_f < 0:
         raise ValueError("n_F must be >= 0")
     a, b = post.alpha, post.beta
+    if n_f > _PRODUCT_HORIZON_LIMIT and n_f * n_f / (2.0 * a) * min(1.0, b / a) <= EPS / 2:
+        return math.exp(-n_f * math.log1p(b / a))
+    out = 1.0
+    for k in range(min(n_f, _PRODUCT_HORIZON_LIMIT)):
+        out *= (a + k) / (a + b + k) if a + b < math.inf else 1.0 / (1.0 + b / (a + k))
     if n_f <= _PRODUCT_HORIZON_LIMIT:
-        out = 1.0
-        for k in range(n_f):
-            out *= (a + k) / (a + b + k)
         return out
-    return math.exp(ln_beta(a + n_f, b) - ln_beta(a, b))
+    if out < np.finfo(float).tiny:  # E lies below it too, so 0 errs by less
+        return 0.0
+    log_tail, rounding = _log_tail(a + _PRODUCT_HORIZON_LIMIT, b, n_f - _PRODUCT_HORIZON_LIMIT)
+    if not (rounding <= ROUNDING_BOUND or log_tail - rounding - math.log(out) > 746.0):  # E < e**-746 rounds to 0
+        raise NumericalError(
+            f"E[theta^{n_f}] under Beta({a!r}, {b!r}): its log rounds by up to {rounding:.3g},"
+            f" above {ROUNDING_BOUND:g}"
+        )
+    return out * math.exp(-max(log_tail, 0.0))
 
 
 def bb_mean_envelope(
@@ -82,14 +124,11 @@ def bb_mean_envelope(
 ) -> Tuple[float, float]:
     """[min, max] of the posterior mean (alpha + C) / (alpha + beta + N)
     over a prior box; the mean is monotone in each parameter separately,
-    so the extremes sit at corners."""
+    so the extremes sit at corners.  Each corner is its posterior's `mean`,
+    so a sum past the float range does not read 0."""
     if min(alpha_range) <= 0.0 or min(beta_range) <= 0.0:
         raise ValueError("prior interval bounds must be positive")
-    corners = [
-        (a + c) / (a + b + n)
-        for a in alpha_range
-        for b in beta_range
-    ]
+    corners = [bb_update(c, n, a, b).mean for a in alpha_range for b in beta_range]
     return (min(corners), max(corners))
 
 

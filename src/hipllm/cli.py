@@ -173,13 +173,15 @@ def cmd_baseline(args) -> int:
     if (args.alpha_range is None) != (args.beta_range is None):
         raise ConfigError("--alpha-range and --beta-range must be given together")
     post = bb_update(args.correct, args.total, args.prior_alpha, args.prior_beta)
+    # E[theta ** n] falls with n, so capping each horizon's value by the one
+    # before moves it by no more than their errors, and keeps the row monotone
+    reliability, cap = {}, 1.0
+    for n in sorted(set(args.horizons)):
+        reliability[n] = cap = min(cap, bb_expected_future_reliability(post, n))
     doc = {
         "posterior": {"alpha": post.alpha, "beta": post.beta},
         "posterior_mean": post.mean,
-        "future_reliability": {
-            str(n): bb_expected_future_reliability(post, n)
-            for n in args.horizons
-        },
+        "future_reliability": {str(n): reliability[n] for n in args.horizons},
     }
     if args.alpha_range is not None:
         lo_hi = bb_mean_envelope(args.correct, args.total, args.alpha_range, args.beta_range)

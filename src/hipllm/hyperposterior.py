@@ -5,10 +5,10 @@ independent conditional Betas given (mu, nu), with (mu, nu) weighted by
 the product of the Beta-Binomial marginal likelihood and the
 Beta(a,b) x Gamma(c, rate=d) prior.  This module discretizes (mu, nu) on
 a midpoint/log-cell product grid and computes those weights in log space,
-for a block of configs at once: one (B, G) array, a row per config.  The
-priors of a box are one exponential family, so a block's log-priors are
-its natural parameters eta (B, 4) times the grid's statistics T (4, G),
-plus a log-normaliser per config.
+for a block of (B, 4) config rows (a, b, c, d) at once: one (B, G) array,
+a row per config.  The priors of a box are one exponential family, so a
+block's log-priors are its natural parameters eta (B, 4) times the grid's
+statistics T (4, G), plus a log-normaliser per config.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 from scipy import special as sp
 
-from .model import DomainSpec, GridSpec, HyperConfig, SubdomainData, ValidationError
+from .model import DomainSpec, GridSpec, SubdomainData, ValidationError
 from .numerics import DomainError
 
 __all__ = [
@@ -35,7 +35,8 @@ __all__ = [
 
 
 class NumericalError(ArithmeticError):
-    """Non-finite result in grid normalization."""
+    """Non-finite result in grid normalization, or a baseline value whose
+    rounding may pass its stated bound."""
 
 
 class Posterior(NamedTuple):
@@ -103,24 +104,26 @@ def _statistics(mu, nu) -> np.ndarray:
     return np.stack(np.broadcast_arrays(np.log(mu), np.log1p(-mu), np.log(nu), nu))
 
 
-def _natural(configs: Sequence[HyperConfig]) -> Tuple[np.ndarray, np.ndarray]:
-    """A block of configs' natural parameters eta = (a - 1, b - 1, c - 1, -d),
-    (B, 4), and their log-normalisers c log d - ln Gamma(c) - ln B(a, b), (B,)."""
-    a, b, c, d = np.array([h.as_tuple() for h in configs], dtype=float).T
+def _natural(configs) -> Tuple[np.ndarray, np.ndarray]:
+    """The natural parameters eta = (a - 1, b - 1, c - 1, -d), (B, 4), of a
+    block of config rows (a, b, c, d), and their log-normalisers
+    c log d - ln Gamma(c) - ln B(a, b), (B,)."""
+    a, b, c, d = np.asarray(configs, dtype=float).T
     eta = np.stack([a - 1.0, b - 1.0, c - 1.0, -d], axis=1)
     return eta, c * np.log(d) - sp.gammaln(c) - sp.betaln(a, b)
 
 
-def log_prior_density(mu, nu, h: HyperConfig):
-    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d), eta . T plus
-    the log-normaliser; vectorized over mu/nu arrays, 0 < mu < 1."""
+def log_prior_density(mu, nu, config: Sequence[float]):
+    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d) for one config
+    (a, b, c, d), eta . T plus the log-normaliser; vectorized over mu/nu
+    arrays, 0 < mu < 1."""
     mu_a = np.asarray(mu, dtype=float)
     nu_a = np.asarray(nu, dtype=float)
     if np.any(mu_a <= 0.0) or np.any(mu_a >= 1.0):
         raise DomainError("log_prior_density requires 0 < mu < 1")
     if np.any(nu_a <= 0.0):
         raise DomainError("log_prior_density requires nu > 0")
-    eta, log_norm = _natural([h])
+    eta, log_norm = _natural([config])
     return (np.einsum("k,k...->...", eta[0], _statistics(mu_a, nu_a)) + log_norm[0])[()]
 
 
@@ -150,9 +153,10 @@ def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndar
     return log_marginal_likelihood(domain, grid.mu, grid.nu)
 
 
-def hyper_posterior(configs: Sequence[HyperConfig], grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
+def hyper_posterior(configs, grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
     """Posterior weights over the (mu, nu) grid for a block of precise
-    configs from `log_lik = log_marginal_likelihood_grid(domain, grid)`.
+    configs, the (B, 4) rows (a, b, c, d) of `configs`, from
+    `log_lik = log_marginal_likelihood_grid(domain, grid)`.
     Row b's log-weights are eta_b . T (one einsum, whose rows do not depend
     on the block), its log-normaliser, log_lik and the log cell measure.
 
@@ -173,7 +177,8 @@ def hyper_posterior(configs: Sequence[HyperConfig], grid: HyperGrid, log_lik: np
     m = log_w.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         r = int(np.argmin(np.isfinite(m[:, 0])))
-        raise NumericalError(f"all grid log-weights non-finite (max={float(m[r, 0])}) at config (a, b, c, d) = {configs[r].as_tuple()}")
+        config = tuple(np.asarray(configs, dtype=float)[r].tolist())
+        raise NumericalError(f"all grid log-weights non-finite (max={float(m[r, 0])}) at config (a, b, c, d) = {config}")
     log_w -= m
     w = np.exp(log_w, out=log_w)
     z = w.sum(axis=1, keepdims=True)

@@ -1,7 +1,8 @@
 """The imprecise-inference engine.
 
-Each domain draws K hyperparameter configurations from its admissible box
-and walks them in blocks of CONFIG_BLOCK; one work unit per (domain, block)
+Each domain draws K hyperparameter configurations from its admissible box,
+the rows (a, b, c, d) of one (K, 4) array, and walks them in blocks of
+CONFIG_BLOCK; one work unit per (domain, block)
 makes its configs' grid hyper-posteriors over (mu, nu) first, in one call
 whose weights are one (B, G) array, and then each config's Monte Carlo
 draws of the subdomain accuracies and the domain aggregate p, one config
@@ -43,7 +44,6 @@ from .model import (
     DomainSpec,
     GridSpec,
     HyperBox,
-    HyperConfig,
     McSpec,
     ReliabilityQuery,
     SystemSpec,
@@ -139,37 +139,31 @@ class InferenceReport:
     live_array_bytes: int = 0  # array-size tally, not a measured peak
 
 
-def generate_configs(box: HyperBox, k: int, seed: int) -> List[HyperConfig]:
-    """Deterministic set of k configs inside the box.
+def generate_configs(box: HyperBox, k: int, seed: int) -> np.ndarray:
+    """Deterministic k configs inside the box, the (k, 4) rows (a, b, c, d)
+    of one float array.
 
     The 16 corner points of the 4-D box come first (envelope extremes tend
-    to sit at extreme prior settings); the remainder is a seeded uniform
-    fill of the interior.
+    to sit at extreme prior settings), row 0 its lows and row 15 its highs;
+    the remainder is a seeded uniform fill of the interior.
     """
-    corners = [
-        HyperConfig(a, b, c, d)
-        for a, b, c, d in itertools.product(*[(lo, hi) for lo, hi in box.ranges()])
-    ]
+    corners = np.array(list(itertools.product(*box.ranges())), dtype=float)
     if k <= len(corners):
         return corners[:k]
-    rng = RngState(seed)
-    lows = np.array([r[0] for r in box.ranges()])
-    highs = np.array([r[1] for r in box.ranges()])
-    fill = rng.gen.uniform(lows, highs, size=(k - len(corners), 4))
-    return corners + [HyperConfig(*row) for row in fill]
+    fill = RngState(seed).gen.uniform(corners[0], corners[-1], size=(k - len(corners), 4))
+    return np.concatenate([corners, fill])
 
 
 def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Deterministic quadrature CDF of one subdomain accuracy on the
-    ascending grid t in [0, 1], for one posterior or a block of them.
+    ascending grid t in [0, 1], for a block of posteriors.
 
     Mixture over the G grid cells of their conditional Beta CDFs
     I_t(alpha, beta), from `grid.conditional`, with the posterior cell
-    weights w.
-    `weights` is (G,), giving a (T,) CDF, or (B, G), one row per config of
-    a block (`hyper_posterior`'s weights), giving (B, T): the rows share the
-    grid, so a cell's conditional Beta, and its CDF values, are the same
-    for all of them.
+    weights w.  `weights` is (B, G), one row per config of a block
+    (`hyper_posterior`'s weights), giving (B, T): the rows share the grid,
+    so a cell's conditional Beta, and its CDF values, are the same for all
+    of them.
 
     Beta(alpha, beta) is sub-Gaussian with variance proxy
     1/(4(alpha + beta + 1)) (Marchal & Arbel 2017), so its CDF is at most
@@ -183,8 +177,7 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     no evaluation.  Either way a cell errs in a row by at most
     w * min(1, eps) <= QUAD_EPS / G, so each row differs from its full
     (cells, T) mat-vec by at most QUAD_EPS = 1e-12 plus rounding, and is
-    clipped at 1.  (G,) weights give the same values, bit for bit, as the
-    (1, G) block.
+    clipped at 1.
 
     The evaluated cells run in chunks of whole cells, at most QUAD_BLOCK of
     them and at most QUAD_BLOCK * T // 8 evaluations; a window holds at most
@@ -195,20 +188,19 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
     t = np.asarray(t, dtype=float)
     if not (np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.diff(t) >= 0.0)):
         raise ValueError("quadrature t must ascend within [0, 1]")
-    w = np.atleast_2d(weights)
-    (n_rows, n_cells), n_t = w.shape, t.size
+    (n_rows, n_cells), n_t = weights.shape, t.size
     alpha, beta = grid.conditional(domain.subdomains[j])
     # each cell's window [lo, hi) of t indices: its mean -/+ h for the tail
     # budget QUAD_EPS / (G w) of its largest weight w, so the union of its
     # rows' windows; empty where G w <= QUAD_EPS
-    w_max = w.max(axis=0)
+    w_max = weights.max(axis=0)
     h = np.sqrt(np.log(np.maximum(n_cells * w_max / QUAD_EPS, 1.0)) / (2.0 * (alpha + beta + 1.0)))
     mean = alpha / (alpha + beta)
     lo, hi = np.searchsorted(t, [mean - h, mean + h])
     # a cell adds its whole weight at every t past its window: row r's bins
     # are r * (T + 1) .. r * (T + 1) + T of one flat bincount
     row = np.arange(n_rows)[:, None]
-    past = np.bincount((row * (n_t + 1) + hi).ravel(), weights=w.ravel(), minlength=n_rows * (n_t + 1))
+    past = np.bincount((row * (n_t + 1) + hi).ravel(), weights=weights.ravel(), minlength=n_rows * (n_t + 1))
     cdf = np.cumsum(past.reshape(n_rows, n_t + 1)[:, :n_t], axis=1)
     del w_max, h, mean, past  # freed before the chunks: keeps the measured peak down
     live = np.flatnonzero(hi > lo)
@@ -225,10 +217,9 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
         r, k = np.nonzero(inside)
         block = np.zeros(inside.shape)
         block[r, k] = beta_cdf(t[k], alpha[cells][r], beta[cells][r])
-        cdf += w[:, cells] @ block
+        cdf += weights[:, cells] @ block
         c0 = c1
-    np.minimum(cdf, 1.0, out=cdf)  # a row's weights sum to 1 only within rounding
-    return cdf.reshape(np.shape(weights)[:-1] + (n_t,))
+    return np.minimum(cdf, 1.0, out=cdf)  # a row's weights sum to 1 only within rounding
 
 
 def sample_domain(domain: DomainSpec, grid: HyperGrid, weights: np.ndarray, s: int, rng: RngState) -> SampleSet:

@@ -17,7 +17,6 @@ __all__ = [
     "SubdomainData",
     "DomainSpec",
     "SystemSpec",
-    "HyperConfig",
     "HyperBox",
     "GridSpec",
     "McSpec",
@@ -70,23 +69,6 @@ class SubdomainData:
 
 
 @dataclass(frozen=True)
-class HyperConfig:
-    """One precise hyperparameter tuple (a, b, c, d).
-
-    (a, b) parameterize the Beta prior on the domain mean; (c, d) the
-    shape/rate Gamma prior on the domain concentration.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
 class HyperBox:
     """Closed intervals of admissible values for each of (a, b, c, d)."""
 
@@ -97,11 +79,6 @@ class HyperBox:
 
     def ranges(self) -> Tuple[Tuple[float, float], ...]:
         return (self.a_range, self.b_range, self.c_range, self.d_range)
-
-    def contains(self, h: HyperConfig) -> bool:
-        return all(
-            lo <= v <= hi for v, (lo, hi) in zip(h.as_tuple(), self.ranges())
-        )
 
 
 def default_box() -> HyperBox:

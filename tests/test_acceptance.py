@@ -41,7 +41,6 @@ from hipllm.model import (
     DomainSpec,
     GridSpec,
     HyperBox,
-    HyperConfig,
     McSpec,
     ReliabilityQuery,
     SubdomainData,
@@ -103,12 +102,12 @@ def test_criterion_2_degenerate_hierarchy():
     domain = _point_domain(3, 10)
     # single node at (mu, nu) = (0.5, 2); posterior there is exactly Beta(4, 8)
     grid = build_grid(GridSpec(n_mu=1, n_nu=1, nu_min=1.0, nu_max=4.0))
-    config = HyperConfig(1.0, 1.0, 1.0, 1.0)
+    config = (1.0, 1.0, 1.0, 1.0)
     weights = hyper_posterior([config], grid, log_marginal_likelihood_grid(domain, grid)).weights[0]
 
     t = eval_grid(201)
     exact = beta_cdf(t, 4.0, 8.0)
-    quad = subdomain_marginal_cdf(domain, 0, grid, t, weights)
+    quad = subdomain_marginal_cdf(domain, 0, grid, t, weights[None])[0]
     quad_err = float(np.max(np.abs(quad - exact)))
 
     dkw = 0.0163
@@ -239,7 +238,7 @@ def test_criterion_7_extra_successes_shift_right():
         members, means = [], []
         for h in configs:
             weights = hyper_posterior([h], grid, log_lik).weights[0]
-            cdf = subdomain_marginal_cdf(domain, 0, grid, t, weights)
+            cdf = subdomain_marginal_cdf(domain, 0, grid, t, weights[None])[0]
             members.append(cdf)
             # mixture mean of the conditional Beta components
             alpha = c + grid.mu * grid.nu

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from hipllm.baselines import (
     bb_update,
     informative_prior,
 )
+from hipllm.hyperposterior import NumericalError
 from hipllm.model import DomainSpec, SubdomainData, SystemSpec, default_box
 from hipllm.numerics import RngState
 
@@ -73,14 +75,41 @@ class TestFutureReliability:
 
     @pytest.mark.parametrize("a,b", [(1.5, 2.5), (1.0, 1.0), (0.5, 0.5), (2.0, 2.0), (7.3, 2.1)])
     def test_both_branches_against_mpmath(self, a, b):
-        # measured: the product within 2.9e-13 at n_F = 10,000, the log-Beta
-        # difference within 1.2e-11 to 1.8e-11 at n_F = 10,001
+        # measured: the product within 2.9e-13 at n_F = 10,000, the product
+        # and the closed-form tail within 2.9e-13 at n_F = 10,001
         assert self.relative_error(a, b, 10_000) <= 1e-12
         assert self.relative_error(a, b, 10_001) <= 1e-10
 
     def test_log_beta_branch_at_a_million(self):
-        # measured 1.7e-10: the error grows with n_F
+        # measured 5.6e-15; the log-Beta difference it replaced erred 1.7e-10
         assert self.relative_error(1.5, 2.5, 10**6) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "a,b,n_f",
+        [(1.0, 1.0, 2**53), (4.0, 8.0, 10**9), (777967752.6123285, 9924.979031097586, 18801),
+         (54761828382373.36, 9865.316525801405, 252826295), (1e-320, 1.0, 10**6)],
+    )
+    def test_tail_against_mpmath(self, a, b, n_f):
+        # the log-Beta difference erred 1.6e-6 at the third: scipy's betaln
+        # took ln Gamma near 1.5e10 apart; the tail measured at most 1.9e-12
+        with mpmath.workdps(60):
+            exact = mpmath.beta(mpmath.mpf(a) + n_f, b) / mpmath.beta(a, b)
+        got = bb_expected_future_reliability(BetaPosterior(a, b), n_f)
+        assert abs(got - exact) <= 1e-11 * exact + 1e-300
+
+    def test_unresolvable_tail_refused(self):
+        # the tail's terms near 1e7 cancel to a log near -9
+        with pytest.raises(NumericalError, match=r"E\[theta\^100000\].*its log rounds by up to"):
+            bb_expected_future_reliability(BetaPosterior(1e11, 1e7), 100_000)
+        # where the value rounds to 0 whatever the rounding, it is 0
+        assert bb_expected_future_reliability(BetaPosterior(1e10, 1e10), 20_000) == 0.0
+
+    def test_overflowing_sum(self):
+        # alpha + beta past the float range: every factor is 1 / (1 + beta / (alpha + k))
+        post = BetaPosterior(1e308, 1.7e308)
+        assert post.mean == pytest.approx(1 / 2.7, rel=1e-15)
+        assert bb_expected_future_reliability(post, 2) == pytest.approx((1 / 2.7) ** 2, rel=1e-15)
+        assert bb_expected_future_reliability(post, 10**6) == 0.0
 
     def test_monte_carlo_agreement(self):
         rng = RngState(200)

@@ -1,7 +1,9 @@
 """End-to-end command-line tests (in-process via main)."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +50,11 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def _refuse_constant(name):
+    """json.loads' parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def read_envelopes(out_dir):
@@ -523,6 +531,80 @@ class TestBaselineCommand:
         assert doc["mean_envelope"] == [pytest.approx(4 / 14), pytest.approx(6 / 14)]
         assert json.loads((tmp_path / "baseline.json").read_text()) == doc
 
+    @staticmethod
+    def run(capsys, *argv):
+        """`hipllm baseline` with argv: its exit code, its printed JSON, which
+        may hold no NaN or Infinity, and its stderr."""
+        code = main(["baseline", *argv])
+        out, err = capsys.readouterr()
+        return code, json.loads(out or "null", parse_constant=_refuse_constant), err
+
+    @staticmethod
+    def exact_reliability(a, b, n):
+        """B(a + n, b) / B(a, b) for exact a and b, at enough digits that
+        ln Gamma near 1e308 keeps about 40 after the point."""
+        with mpmath.workdps(360):
+            lg = mpmath.loggamma
+            return mpmath.exp(lg(a + n) - lg(a) - lg(a + b + n) + lg(a + b))
+
+    def check_against_mpmath(self, doc, correct, total, prior_alpha, prior_beta):
+        # every probability within 1e-12 relative (or 1e-300) of its exact
+        # value, in [0, 1] and nonincreasing in the horizon
+        a, b = mpmath.mpf(prior_alpha) + correct, mpmath.mpf(prior_beta) + (total - correct)
+        exact = {"mean": a / (a + b)}
+        exact.update((int(n), self.exact_reliability(a, b, int(n))) for n in doc["future_reliability"])
+        got = {"mean": doc["posterior_mean"], **{int(n): v for n, v in doc["future_reliability"].items()}}
+        for key, value in got.items():
+            assert 0.0 <= value <= 1.0
+            assert abs(value - exact[key]) <= 1e-12 * exact[key] + 1e-300, key
+        horizons = sorted(k for k in got if k != "mean")
+        assert all(got[m] >= got[n] for m, n in zip(horizons, horizons[1:]))
+
+    def test_counts_at_2_53(self, capsys):
+        # 1.0 + 2**53 rounded to 2**53 before 2**53 correct were taken off,
+        # which left beta 0 and a ValueError traceback
+        code, doc, _ = self.run(capsys, "--correct", f"{2**53}", "--total", f"{2**53}")
+        assert code == EXIT_OK
+        assert doc["posterior"] == {"alpha": 2.0**53, "beta": 1.0}
+        self.check_against_mpmath(doc, 2**53, 2**53, 1.0, 1.0)
+
+    def test_prior_at_1e308(self, capsys):
+        # alpha + beta overflowed: the mean read 0.0 and n_F = 100,000 NaN
+        argv = ["--correct", "5", "--total", "10", "--prior-alpha", "1e308", "--prior-beta", "1e308"]
+        code, doc, _ = self.run(capsys, *argv, "--horizons", "1,100000")
+        assert code == EXIT_OK
+        assert doc["posterior_mean"] == 0.5
+        self.check_against_mpmath(doc, 5, 10, 1e308, 1e308)
+
+    def test_log_beta_difference_at_1e300(self, capsys):
+        # ln B(alpha + n_F, beta) - ln B(alpha, beta) cancelled to 0, so
+        # E[theta^10001] read 1.0 beside E[theta] = 0.5
+        argv = ["--correct", "5", "--total", "10", "--prior-alpha", "1e300", "--prior-beta", "1e300"]
+        code, doc, _ = self.run(capsys, *argv, "--horizons", "1,10001")
+        assert code == EXIT_OK
+        assert doc["future_reliability"] == {"1": 0.5, "10001": 0.0}
+        self.check_against_mpmath(doc, 5, 10, 1e300, 1e300)
+
+    def test_mean_envelope_past_the_float_range(self, capsys):
+        # alpha + beta + N overflowed, so both bounds read 0.0
+        ranges = ["--alpha-range", "1e308,1.7e308", "--beta-range", "1e308,1.7e308"]
+        code, doc, _ = self.run(capsys, "--correct", "5", "--total", "10", *ranges)
+        assert code == EXIT_OK
+        corners = [
+            (mpmath.mpf(a) + 5) / (mpmath.mpf(a) + mpmath.mpf(b) + 10)
+            for a in (1e308, 1.7e308) for b in (1e308, 1.7e308)
+        ]
+        for got, exact in zip(doc["mean_envelope"], (min(corners), max(corners))):
+            assert abs(got - exact) <= 1e-15 * exact
+
+    def test_unresolvable_reliability_refused(self, capsys):
+        # Beta(1e11, 1e7) at n_F = 100,000: the log of E is about -9, made
+        # of terms near 1e7 that cancel, so it may round by 1.8e-8
+        argv = ["--correct", "0", "--total", "0", "--prior-alpha", "1e11", "--prior-beta", "1e7"]
+        code, doc, err = self.run(capsys, *argv, "--horizons", "1,100000")
+        assert code == EXIT_NUMERICAL and doc is None
+        assert "E[theta^100000] under Beta(100000000000.0, 10000000.0): its log rounds by up to" in err
+
 
 class TestSynthCommand:
     def test_smoke(self, tmp_path, monkeypatch):
@@ -754,3 +836,55 @@ def test_whole_config_exits_cleanly(doc):
     for e in report["envelopes"]:
         for cdf in (e["lower"], e["upper"]):
             assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] >= 1.0 - ulps
+
+
+# Baseline command lines with extreme values: counts up to 2**53, priors
+# and range bounds from 1e-320 to 1.7e308 and horizons up to 2**53, each
+# drawn from the extreme range or a moderate one.
+_extreme_prior = st.one_of(st.floats(1e-320, 1.7e308), st.floats(0.5, 30.0))
+
+
+@st.composite
+def _baseline_argv(draw):
+    total = draw(st.one_of(st.integers(0, 2**53), st.integers(0, 1000)))
+    argv = ["baseline", "--correct", str(draw(st.integers(0, total))), "--total", str(total)]
+    argv += ["--prior-alpha", repr(draw(_extreme_prior)), "--prior-beta", repr(draw(_extreme_prior))]
+    horizons = draw(st.lists(st.one_of(st.integers(0, 2**53), st.integers(0, 20_000)), min_size=1, max_size=4))
+    argv += ["--horizons", ",".join(map(str, horizons))]
+    if draw(st.booleans()):
+        for name in ("--alpha-range", "--beta-range"):
+            lo, hi = sorted(draw(st.lists(_extreme_prior, min_size=2, max_size=2)))
+            argv += [name, f"{lo!r},{hi!r}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_baseline_argv())
+@example(  # alpha + beta overflowed: mean 0.0 and E[theta^100000] NaN, with exit 0
+    argv=["baseline", "--correct", "5", "--total", "10", "--prior-alpha", "1e308", "--prior-beta", "1e308",
+          "--horizons", "1,100000"]
+)
+@example(  # the log-Beta difference cancelled to 0: E[theta^10001] = 1.0 beside E[theta] = 0.5
+    argv=["baseline", "--correct", "5", "--total", "10", "--prior-alpha", "1e300", "--prior-beta", "1e300",
+          "--horizons", "1,10001"]
+)
+@example(  # alpha + beta + N overflowed: mean envelope [0.0, 0.0]
+    argv=["baseline", "--correct", "5", "--total", "10", "--alpha-range", "1e308,1.7e308",
+          "--beta-range", "1e308,1.7e308"]
+)
+def test_baseline_exits_cleanly(argv):
+    # every command line maps to exit 0, 2 or 3 with no exception, and an
+    # exit-0 run prints JSON without NaN or Infinity whose probabilities
+    # lie in [0, 1], falling with the horizon, with lower <= upper
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        return
+    doc = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    reliability = sorted((int(n), v) for n, v in doc["future_reliability"].items())
+    envelope = doc.get("mean_envelope", [0.0, 1.0])
+    assert all(0.0 <= p <= 1.0 for p in [doc["posterior_mean"], *envelope, *(v for _, v in reliability)])
+    assert all(x[1] >= y[1] for x, y in zip(reliability, reliability[1:]))
+    assert envelope[0] <= envelope[1]

@@ -22,7 +22,6 @@ from hipllm.inference import CONFIG_BLOCK, generate_configs
 from hipllm.model import (
     DomainSpec,
     GridSpec,
-    HyperConfig,
     SubdomainData,
     default_box,
     default_grid,
@@ -70,7 +69,7 @@ class TestBuildGrid:
         monkeypatch.setattr(np, "log1p", lambda *a, **k: calls.append(1) or real(*a, **k))
         g = build_grid(default_grid())
         dom = one_subdomain_domain(6, 10)
-        hyper_posterior([HyperConfig(2, 3, 2, 2)] * 3, g, log_marginal_likelihood_grid(dom, g))
+        hyper_posterior([(2, 3, 2, 2)] * 3, g, log_marginal_likelihood_grid(dom, g))
         assert len(calls) == 1  # T's log(1 - mu), made with the grid, not per posterior
         np.testing.assert_array_equal(g.T, [np.log(g.mu), np.log1p(-g.mu), np.log(g.nu), g.nu])
         # the grid is its nodes and measures; T is made from them only
@@ -92,18 +91,18 @@ class TestBuildGrid:
 class TestLogPriorDensity:
     def test_flat_config(self):
         # Beta(1,1) density 1, Gamma(1, rate=1) density exp(-nu)
-        h = HyperConfig(1, 1, 1, 1)
+        h = (1, 1, 1, 1)
         assert log_prior_density(0.3, 2.0, h) == pytest.approx(-2.0, abs=1e-12)
 
     def test_symmetric_beta(self):
         # Beta(2,2) density 6*mu*(1-mu) = 1.5 at mu=0.5
-        h = HyperConfig(2, 2, 1, 1)
+        h = (2, 2, 1, 1)
         assert log_prior_density(0.5, 1.0, h) == pytest.approx(
             math.log(1.5) - 1.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("h", [HyperConfig(1, 1, 1, 1), HyperConfig(12, 1, 25, 25),
-                                   HyperConfig(1, 12, 1, 25), HyperConfig(5, 5, 3, 0.5)])
+    @pytest.mark.parametrize("h", [(1, 1, 1, 1), (12, 1, 25, 25),
+                                   (1, 12, 1, 25), (5, 5, 3, 0.5)])
     def test_integrates_to_one_on_default_grid(self, h):
         g = build_grid(default_grid())
         mass = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure).sum()
@@ -111,7 +110,7 @@ class TestLogPriorDensity:
 
     def test_boundary_rejected(self):
         with pytest.raises(Exception):
-            log_prior_density(0.0, 1.0, HyperConfig(1, 1, 1, 1))
+            log_prior_density(0.0, 1.0, (1, 1, 1, 1))
 
 
 class TestLogMarginalLikelihood:
@@ -147,14 +146,14 @@ class TestLogMarginalLikelihood:
 class TestHyperPosterior:
     def test_no_data_matches_prior_mass(self):
         g = build_grid(default_grid())
-        h = HyperConfig(3, 2, 2, 4)
+        h = (3, 2, 2, 4)
         weights, _ = posterior(one_subdomain_domain(0, 0), h, g)
         prior = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure)
         np.testing.assert_allclose(weights, prior / prior.sum(), rtol=1e-10)
 
     @pytest.mark.parametrize("h", [
-        HyperConfig(1, 1, 1, 1), HyperConfig(12, 12, 25, 25),
-        HyperConfig(1, 12, 25, 1), HyperConfig(12, 1, 1, 25),
+        (1, 1, 1, 1), (12, 12, 25, 25),
+        (1, 12, 25, 1), (12, 1, 1, 25),
     ])
     def test_weights_normalized_at_box_corners(self, h):
         g = build_grid(default_grid())
@@ -165,7 +164,7 @@ class TestHyperPosterior:
 
     def test_data_shifts_posterior_mean_up(self):
         g = build_grid(default_grid())
-        h = HyperConfig(1, 1, 1, 1)
+        h = (1, 1, 1, 1)
         weights, _ = posterior(one_subdomain_domain(90, 100), h, g)
         prior = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure)
         prior /= prior.sum()
@@ -174,7 +173,7 @@ class TestHyperPosterior:
     def test_evidence_matches_brute_force_quadrature(self):
         # direct mass summation without the max-subtraction path
         g = build_grid(GridSpec(n_mu=30, n_nu=25))
-        h = HyperConfig(2, 3, 2, 2)
+        h = (2, 3, 2, 2)
         dom = one_subdomain_domain(6, 10)
         direct = np.log(
             np.sum(
@@ -190,7 +189,7 @@ class TestHyperPosterior:
         # adding a constant to all log-weights cannot change the result,
         # exercised via counts large enough to push log-weights below -1000
         g = build_grid(default_grid())
-        h = HyperConfig(2, 2, 2, 2)
+        h = (2, 2, 2, 2)
         small, _ = posterior(one_subdomain_domain(60, 100), h, g)
         big, _ = posterior(one_subdomain_domain(6000, 10_000), h, g)
         for weights in (small, big):
@@ -198,7 +197,7 @@ class TestHyperPosterior:
             assert np.all(np.isfinite(weights))
 
     def test_grid_refinement_converges(self):
-        h = HyperConfig(2, 2, 2, 2)
+        h = (2, 2, 2, 2)
         dom = one_subdomain_domain(75, 100)
         coarse = build_grid(default_grid())
         fine = build_grid(GridSpec(n_mu=100, n_nu=80))
@@ -208,7 +207,7 @@ class TestHyperPosterior:
 
     def test_posterior_mean_vs_reference_grid(self):
         # 10^6-node reference for the 90/100 shift example
-        h = HyperConfig(1, 1, 1, 1)
+        h = (1, 1, 1, 1)
         dom = one_subdomain_domain(90, 100)
         ref_grid = build_grid(GridSpec(n_mu=1000, n_nu=1000))
         ref_mean = posterior(dom, h, ref_grid)[0] @ ref_grid.mu
@@ -223,7 +222,7 @@ class TestHyperPosterior:
         # of each gpt4o domain's first 8 and 3 configs
         g = build_grid(GridSpec(n_mu=30, n_nu=25))
         dom = one_subdomain_domain(6, 10)
-        configs = [HyperConfig(1, 1, 1, 1), HyperConfig(12, 1, 25, 25), HyperConfig(2, 3, 2, 2)]
+        configs = [(1, 1, 1, 1), (12, 1, 25, 25), (2, 3, 2, 2)]
         blocks = [(g, log_marginal_likelihood_grid(dom, g), configs)]
         cfg = parse_config(GPT4O_CONFIG)
         g = build_grid(cfg.grid)
@@ -241,6 +240,17 @@ class TestHyperPosterior:
                 single = hyper_posterior([h], g, log_lik)
                 np.testing.assert_array_equal(block.weights[b], single.weights[0])
                 assert block.log_evidence[b] == single.log_evidence[0]
+
+    def test_array_block_is_the_tuple_block(self):
+        # a block read from the rows of one array, as the engine passes it,
+        # and from a list of tuples gives the same bytes
+        g = build_grid(default_grid())
+        log_lik = log_marginal_likelihood_grid(one_subdomain_domain(6, 10), g)
+        configs = generate_configs(default_box(), 2 * CONFIG_BLOCK, 3)
+        rows = hyper_posterior(configs, g, log_lik)
+        tuples = hyper_posterior([tuple(h) for h in configs.tolist()], g, log_lik)
+        assert rows.weights.tobytes() == tuples.weights.tobytes()
+        assert rows.log_evidence.tobytes() == tuples.log_evidence.tobytes()
 
     def test_block_peak_near_its_weights(self):
         # a block's log-weights are made in place in its (B, G) result, with
@@ -262,7 +272,7 @@ class TestHyperPosterior:
         # Beta(1e308, 1e308) overflows every log-weight of its row to nan
         g = build_grid(GridSpec(n_mu=10, n_nu=8))
         dom = one_subdomain_domain(6, 10)
-        configs = [HyperConfig(2, 2, 2, 2), HyperConfig(1e308, 1e308, 3.0, 4.0)]
+        configs = [(2, 2, 2, 2), (1e308, 1e308, 3.0, 4.0)]
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
             hyper_posterior(configs, g, log_marginal_likelihood_grid(dom, g))
         assert "all grid log-weights non-finite (max=nan)" in str(err.value)

@@ -2,6 +2,7 @@
 and the reliability transforms."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -43,7 +44,6 @@ from hipllm.model import (
     DomainSpec,
     GridSpec,
     HyperBox,
-    HyperConfig,
     McSpec,
     ReliabilityQuery,
     SubdomainData,
@@ -99,7 +99,7 @@ class TestGenerateConfigs:
         box = default_box()
         configs = generate_configs(box, 16, seed=1)
         corner_vals = {
-            tuple(h.as_tuple()) for h in configs
+            tuple(h) for h in configs.tolist()
         }
         assert len(configs) == 16
         expected = {
@@ -113,18 +113,37 @@ class TestGenerateConfigs:
 
     def test_degenerate_box(self):
         configs = generate_configs(point_box(), 20, seed=3)
-        assert all(h.as_tuple() == (2.0, 2.0, 2.0, 2.0) for h in configs)
+        np.testing.assert_array_equal(configs, np.full((20, 4), 2.0))
 
     def test_membership_at_k160(self):
         box = default_box()
         configs = generate_configs(box, 160, seed=9)
-        assert len(configs) == 160
-        assert all(box.contains(h) for h in configs)
+        assert configs.shape == (160, 4)
+        lows, highs = np.array(box.ranges()).T
+        assert np.all((lows <= configs) & (configs <= highs))
 
     def test_deterministic(self):
         a = generate_configs(default_box(), 50, seed=4)
         b = generate_configs(default_box(), 50, seed=4)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
+
+    def test_gpt4o_matches_object_construction(self):
+        # both gpt4o domains' K = 160 configs equal the construction they
+        # had as one object per config: the corners as product tuples, then
+        # one config per row of the same seeded uniform fill
+        cfg = parse_config(GPT4O_CONFIG)
+        master = RngState(cfg.mc.master_seed)
+        for i, dom in enumerate(cfg.system.domains):
+            seed, ranges = master.substream(1, i).seed, dom.box.ranges()
+            corners = [(a, b, c, d) for a, b, c, d in itertools.product(*[(lo, hi) for lo, hi in ranges])]
+            lows = np.array([r[0] for r in ranges])
+            highs = np.array([r[1] for r in ranges])
+            fill = RngState(seed).gen.uniform(lows, highs, size=(160 - len(corners), 4))
+            objects = corners + [tuple(row) for row in fill]
+            configs = generate_configs(dom.box, 160, seed)
+            assert configs.dtype == np.float64 and configs.shape == (160, 4)
+            np.testing.assert_array_equal(configs, np.array(objects, dtype=float))
+            np.testing.assert_array_equal(configs[[0, 15]], [lows, highs])
 
 
 class TestSubdomainMarginalCdf:
@@ -132,9 +151,9 @@ class TestSubdomainMarginalCdf:
         # one cell at (0.5, 2): mixture collapses to I_t(C+1, N-C+1)
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, (2, 2, 2, 2), grid)
         t = eval_grid(201)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         np.testing.assert_allclose(vals, beta_cdf(t, 4.0, 8.0), atol=1e-9)
 
     def test_prior_mixture_vs_direct_sampling(self):
@@ -143,10 +162,10 @@ class TestSubdomainMarginalCdf:
             subdomains=(SubdomainData(0, 0),), op_weights=(1.0,), box=default_box()
         )
         grid = build_grid(GridSpec(n_mu=10, n_nu=8, nu_min=0.5, nu_max=20.0))
-        h = HyperConfig(2, 2, 2, 2)
+        h = (2, 2, 2, 2)
         w = posterior(dom, h, grid)
         t = np.array([0.5])
-        quad = subdomain_marginal_cdf(dom, 0, grid, t, w)[0]
+        quad = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0, 0]
         rng = RngState(404)
         s = 100_000
         sl = sample_domain(dom, grid, w, s, rng)
@@ -156,9 +175,9 @@ class TestSubdomainMarginalCdf:
     def test_terminal_value_is_one(self):
         dom = one_subdomain_system(90, 100).domains[0]
         grid = build_grid(GridSpec(n_mu=20, n_nu=10))
-        w = posterior(dom, HyperConfig(3, 2, 4, 4), grid)
+        w = posterior(dom, (3, 2, 4, 4), grid)
         t = eval_grid(51)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)
 
@@ -192,7 +211,7 @@ class TestSubdomainMarginalCdf:
         dom = one_subdomain_system(30, 50).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, weights)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, weights[None])[0]
         assert rows and max(rows) <= QUAD_BLOCK * t.size // 8
         np.testing.assert_allclose(vals, dense_cdf(grid, weights, 30, 50, t), rtol=0, atol=1e-14)
 
@@ -211,7 +230,7 @@ class TestSubdomainMarginalCdf:
         dom = one_subdomain_system(0, 0).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert sum(rows) == grid.mu.size * t.size
         np.testing.assert_allclose(vals, dense_cdf(grid, w, 0, 0, t), rtol=0, atol=1e-15 + 1e-14)
 
@@ -222,7 +241,7 @@ class TestSubdomainMarginalCdf:
         dom = one_subdomain_system(correct, 5000).domains[0]
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert sum(rows) < grid.mu.size * t.size // 4
         np.testing.assert_allclose(vals, dense_cdf(grid, w, correct, 5000, t), rtol=0, atol=1e-15 + 1e-14)
 
@@ -237,7 +256,7 @@ class TestSubdomainMarginalCdf:
         t = np.unique(np.concatenate([eval_grid(101), edges]))
         assert np.all(np.isin(edges, t))
         rows = self.block_rows(monkeypatch)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert sum(rows) < grid.mu.size * t.size
         np.testing.assert_allclose(vals, dense_cdf(grid, w, 700, 1000, t), rtol=0, atol=1e-15 + 1e-14)
 
@@ -246,9 +265,9 @@ class TestSubdomainMarginalCdf:
         # the lightest cells' mass erred most (2.2e-11)
         dom = one_subdomain_system(113, 257).domains[0]
         grid = build_grid(GridSpec())
-        w = posterior(dom, HyperConfig(1, 12, 25, 1), grid)
+        w = posterior(dom, (1, 12, 25, 1), grid)
         t = eval_grid(201)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert np.max(np.abs(vals - dense_cdf(grid, w, 113, 257, t))) <= QUAD_EPS
 
     def test_negligible_cell_is_a_step_at_its_mean(self, monkeypatch):
@@ -267,7 +286,7 @@ class TestSubdomainMarginalCdf:
 
         monkeypatch.setattr(inference, "beta_cdf", spy)
         t = eval_grid(101)
-        vals = subdomain_marginal_cdf(dom, 0, grid, t, w)
+        vals = subdomain_marginal_cdf(dom, 0, grid, t, w[None])[0]
         assert evaluated and not np.any(np.concatenate(evaluated) == alpha[1])
         assert np.all(vals[t < light_mean] == 0.0)
         np.testing.assert_array_equal(vals[(t >= light_mean) & (t < 0.5)], QUAD_EPS / 2)
@@ -285,18 +304,18 @@ class TestSubdomainMarginalCdf:
         grids = [build_grid(GridSpec()), build_grid(GridSpec(n_mu=100, n_nu=80))]
         sup = 0.0
         for h in generate_configs(dom.box, 16, 0):
-            f, g = (subdomain_marginal_cdf(dom, 0, grid, t, posterior(dom, h, grid)) for grid in grids)
+            f, g = (subdomain_marginal_cdf(dom, 0, grid, t, posterior(dom, h, grid)[None])[0] for grid in grids)
             sup = max(sup, np.max(np.abs(f - g)))
         assert sup <= 1e-3
 
     def test_unsorted_t_rejected(self):
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, (2, 2, 2, 2), grid)
         with pytest.raises(ValueError):
-            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 0.2]), w)
+            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 0.2]), w[None])
         with pytest.raises(ValueError):
-            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 1.5]), w)
+            subdomain_marginal_cdf(dom, 0, grid, np.array([0.5, 1.5]), w[None])
 
     def test_peak_bounded_by_block_not_kept_cells(self, monkeypatch):
         # two trials leave the posterior close to the diffuse prior, so most
@@ -304,12 +323,12 @@ class TestSubdomainMarginalCdf:
         # take about 11 MB, a block 0.4 MB
         dom = one_subdomain_system(1, 2).domains[0]
         grid = build_grid(GridSpec(n_mu=100, n_nu=80))
-        w = posterior(dom, HyperConfig(1, 1, 1, 1), grid)
+        w = posterior(dom, (1, 1, 1, 1), grid)
         t = eval_grid(201)
         rows = self.block_rows(monkeypatch)
         tracemalloc.start()
         try:
-            subdomain_marginal_cdf(dom, 0, grid, t, w)
+            subdomain_marginal_cdf(dom, 0, grid, t, w[None])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,22 +367,13 @@ class TestConfigBlocks:
                     assert rows.shape == (len(weights), self.T.size)
                     singles = []
                     for w, got in zip(weights, rows):
-                        singles.append(subdomain_marginal_cdf(dom, j, grid, self.T, w))
+                        singles.append(subdomain_marginal_cdf(dom, j, grid, self.T, w[None])[0])
                         mixture = dense_cdf(grid, w, sub.correct, sub.total, self.T)
                         # well inside QUAD_EPS
                         assert np.max(np.abs(got - mixture)) <= 1e-14
                     # the subdomain's band over the block moves by at most 1e-14
                     for bound in (np.min, np.max):
                         assert np.max(np.abs(bound(rows, axis=0) - bound(singles, axis=0))) <= 1e-14
-
-    def test_one_row_block_is_the_single_call(self):
-        for dom, grid, blocks in gpt4o_blocks(k=4):
-            for j in range(len(dom.subdomains)):
-                for w in blocks[0]:
-                    single = subdomain_marginal_cdf(dom, j, grid, self.T, w)
-                    block = subdomain_marginal_cdf(dom, j, grid, self.T, w[None, :])
-                    assert single.shape == (self.T.size,) and block.shape == (1, self.T.size)
-                    np.testing.assert_array_equal(block[0], single)
 
     def test_union_of_windows_evaluated_once(self, monkeypatch):
         # the corners of code-generation's MBPP: each (cell, t) inside the
@@ -461,7 +471,7 @@ class TestSampleDomain:
     def test_single_subdomain_identity(self):
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, (2, 2, 2, 2), grid)
         sl = sample_domain(dom, grid, w, 500, RngState(5))
         np.testing.assert_array_equal(sl.p, sl.theta[:, 0])
 
@@ -472,7 +482,7 @@ class TestSampleDomain:
             box=default_box(),
         )
         grid = build_grid(POINT_GRID)
-        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, (2, 2, 2, 2), grid)
         sl = sample_domain(dom, grid, w, 2000, RngState(6))
         np.testing.assert_allclose(sl.p, 0.5 * sl.theta[:, 0] + 0.5 * sl.theta[:, 1])
         assert np.all(sl.p <= sl.theta.max(axis=1) + 1e-15)
@@ -482,7 +492,7 @@ class TestSampleDomain:
         # degenerate grid: p samples are Beta(4,8); DKW at S=1e4, 99%
         dom = one_subdomain_system().domains[0]
         grid = build_grid(POINT_GRID)
-        w = posterior(dom, HyperConfig(2, 2, 2, 2), grid)
+        w = posterior(dom, (2, 2, 2, 2), grid)
         s = 10_000
         bound = math.sqrt(math.log(2 / 0.01) / (2 * s))
         failures = 0
@@ -503,7 +513,7 @@ class TestSampleDomain:
         dom = DomainSpec((sub_a, sub_b), (0.3, 0.7), box)
         dom_perm = DomainSpec((sub_b, sub_a), (0.7, 0.3), box)
         grid = build_grid(GridSpec(n_mu=10, n_nu=8))
-        h = HyperConfig(2, 3, 2, 2)
+        h = (2, 3, 2, 2)
         w = posterior(dom, h, grid)
         w_perm = posterior(dom_perm, h, grid)
         s = 4000
@@ -516,7 +526,7 @@ class TestSampleDomain:
     def test_data_dominance(self):
         # more successes strictly raise the posterior mean of theta
         grid = build_grid(GridSpec(n_mu=20, n_nu=10))
-        h = HyperConfig(2, 2, 2, 2)
+        h = (2, 2, 2, 2)
         s = 10_000
         means = []
         for c in (40, 45):
@@ -537,12 +547,12 @@ class TestWorkUnitIdentity:
 
     @staticmethod
     def reference_posterior(h, grid, log_lik):
-        mu, nu = grid.mu, grid.nu
+        (a, b, c, d), mu, nu = h, grid.mu, grid.nu
         log_beta_part = (
-            (h.a - 1.0) * np.log(mu) + (h.b - 1.0) * np.log1p(-mu) - sp.betaln(h.a, h.b)
+            (a - 1.0) * np.log(mu) + (b - 1.0) * np.log1p(-mu) - sp.betaln(a, b)
         )
         log_gamma_part = (
-            h.c * np.log(h.d) - sp.gammaln(h.c) + (h.c - 1.0) * np.log(nu) - h.d * nu
+            c * np.log(d) - sp.gammaln(c) + (c - 1.0) * np.log(nu) - d * nu
         )
         log_w = log_lik + (log_beta_part + log_gamma_part) + grid.log_measure
         m = np.max(log_w)
@@ -696,7 +706,7 @@ class TestSampleSystem:
     def test_single_domain_identity(self):
         sys_ = one_subdomain_system()
         grid = build_grid(POINT_GRID)
-        h = HyperConfig(2, 2, 2, 2)
+        h = (2, 2, 2, 2)
         w = posterior(sys_.domains[0], h, grid)
         sl = sample_domain(sys_.domains[0], grid, w, 300, RngState(2))
         p_l = sample_system(sys_, (0,), [[sl.p]])
