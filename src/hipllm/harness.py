@@ -109,7 +109,7 @@ def op_scenarios(
         raise ValueError("noise must lie in [0, 1)")
     sizes = np.asarray(gt.sample_sizes, dtype=float)
     data = sizes / sizes.sum()
-    u = RngState(seed).gen.uniform(-noise, noise, size=len(gt.op))
+    u = RngState(seed).gen.uniform(-noise, abs(noise), size=len(gt.op))  # abs: uniform(0.0, -0.0) raises
     approx = np.asarray(gt.op) * (1.0 + u)
     approx = approx / approx.sum()
     return {

@@ -3,7 +3,9 @@
 The joint posterior of a domain's subdomain accuracies decomposes into
 independent conditional Betas given (mu, nu), with (mu, nu) weighted by
 the product of the Beta-Binomial marginal likelihood and the
-Beta(a,b) x Gamma(c, rate=d) prior.  This module discretizes (mu, nu) on
+Beta(a,b) x Gamma(c, rate=d) prior.  `HyperGrid.conditional` is the one
+place that writes a cell's conditional Beta; the likelihood, the
+quadrature and the draws all read it.  This module discretizes (mu, nu) on
 a midpoint/log-cell product grid and computes those weights in log space,
 for a block of (B, 4) config rows (a, b, c, d) at once: one (B, G) array,
 a row per config.  The priors of a box are one exponential family, so a
@@ -28,7 +30,6 @@ __all__ = [
     "Posterior",
     "build_grid",
     "log_prior_density",
-    "log_marginal_likelihood",
     "log_marginal_likelihood_grid",
     "hyper_posterior",
 ]
@@ -127,30 +128,21 @@ def log_prior_density(mu, nu, config: Sequence[float]):
     return (np.einsum("k,k...->...", eta[0], _statistics(mu_a, nu_a)) + log_norm[0])[()]
 
 
-def log_marginal_likelihood(domain: DomainSpec, mu, nu):
+def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndarray:
     """Log of the product over subdomains of the Beta-Binomial likelihood
-    binom(N, C) * B(C + mu*nu, N - C + (1-mu)*nu) / B(mu*nu, (1-mu)*nu).
-
-    Evaluated wholly in log space; vectorized over mu/nu arrays.
-    """
-    mu_a = np.asarray(mu, dtype=float)
-    nu_a = np.asarray(nu, dtype=float)
-    a0 = mu_a * nu_a
-    b0 = (1.0 - mu_a) * nu_a
-    total = np.zeros(np.broadcast(mu_a, nu_a).shape)
+    binom(N, C) B(alpha, beta) / B(alpha0, beta0) on every grid node, in log
+    space: (alpha, beta) is the cell's `grid.conditional` Beta for the
+    subdomain, and the prior's (alpha0, beta0) that of an empty subdomain.
+    Config-independent, so computed once per domain and shared by its configs."""
+    log_prior_beta = sp.betaln(*grid.conditional(SubdomainData(0, 0)))
+    total = np.zeros(grid.size)
     for sub in domain.subdomains:
         c, n = sub.correct, sub.total
         if n == 0:
             continue
         log_binom = sp.gammaln(n + 1) - sp.gammaln(c + 1) - sp.gammaln(n - c + 1)
-        total = total + log_binom + sp.betaln(c + a0, n - c + b0) - sp.betaln(a0, b0)
+        total = total + log_binom + sp.betaln(*grid.conditional(sub)) - log_prior_beta
     return total
-
-
-def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndarray:
-    """Marginal likelihood on every grid node; config-independent, so compute
-    once per domain and reuse across hyperparameter configurations."""
-    return log_marginal_likelihood(domain, grid.mu, grid.nu)
 
 
 def hyper_posterior(configs, grid: HyperGrid, log_lik: np.ndarray) -> Posterior:

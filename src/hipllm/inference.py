@@ -414,8 +414,8 @@ def profile_samples(
     master = RngState(mc.master_seed)
 
     def profiles(i, draws):
-        """Domain i's p under each system's weights (the first's made by `sample_domain`)."""
-        return [draws.p] + [np.minimum(draws.theta @ np.asarray(s.domains[i].op_weights), 1.0) for s in systems[1:]]
+        """Domain i's p under each system's within-domain weights."""
+        return [np.minimum(draws.theta @ np.asarray(s.domains[i].op_weights), 1.0) for s in systems]
 
     # domain_p[i][k][n]: domain i, config k, system n
     domain_p = [

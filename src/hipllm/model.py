@@ -8,6 +8,7 @@ invariants and returns normalized copies.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
@@ -53,6 +54,10 @@ SIZE_FIELDS = (
     ("mc", "pairing_cap", 1),
     ("mc", "t_grid_size", 2),
 )
+
+# What a label may not hold: surrogates (not UTF-8), U+FFFE, U+FFFF and C0
+# controls but tab and LF (not XML 1.0; csv.writer leaves a CR unquoted).
+UNWRITABLE = re.compile("[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # Master seeds are 64-bit; the generator would alias any wider seed to one
 # inside the range.
@@ -195,7 +200,8 @@ def validate(
     Weight vectors within RENORM_TOL of summing to 1 are renormalized, and
     a second call keeps them as they are; all other violations are
     collected with a path to the offending field.
-    No two subdomains, and no two domains, may share an `entity_keys` name.
+    No two subdomains, and no two domains, may share an `entity_keys` name,
+    and no label may hold an UNWRITABLE character.
     Whether the nu range's cells get finite, positive nodes and widths is
     checked where they are made, by `hyperposterior.build_grid`.
     """
@@ -217,7 +223,10 @@ def validate(
     for i, dom in enumerate(system.domains):
         dpath = f"system.domains[{i}]"
         paths = [f"{dpath}.subdomains[{j}]" for j in range(len(dom.subdomains))] + [dpath]
-        for key, path in zip(entity_keys(dom, i), paths):
+        labels = [sub.label or "" for sub in dom.subdomains] + [dom.label or ""]
+        for key, path, bad in zip(entity_keys(dom, i), paths, map(UNWRITABLE.search, labels)):
+            if bad:
+                issues.append((f"{path}.label", f"U+{ord(bad[0]):04X} at index {bad.start()} cannot be written"))
             if first.setdefault(key, path) != path:
                 issues.append((f"{path}.label", f"name {key[1]!r} is taken by {first[key]}"))
         if len(dom.subdomains) < 1:

@@ -1,7 +1,7 @@
 """Special functions and seeded random sampling.
 
 Everything downstream (grid posteriors, Monte Carlo propagation, baselines)
-is built on the functions here.  Special functions delegate to scipy.special;
+is built on the functions here.  The Beta CDF delegates to scipy's betainc;
 sampling wraps numpy's PCG64 generator behind an explicit substream-derivation
 scheme so that results never depend on scheduling order.
 """
@@ -14,7 +14,6 @@ import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "ln_beta",
     "beta_cdf",
     "derive_substream",
     "RngState",
@@ -32,18 +31,6 @@ TINY_BETA = 1e-100
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of a special function."""
-
-
-def ln_beta(x: float, y: float) -> float:
-    """Natural log of the Beta function B(x, y) for x, y > 0."""
-    xa, ya = np.asarray(x), np.asarray(y)
-    if (
-        not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya)))
-        or np.any(xa <= 0.0)
-        or np.any(ya <= 0.0)
-    ):
-        raise DomainError(f"ln_beta requires finite positive arguments, got {x!r}, {y!r}")
-    return sp.betaln(x, y)
 
 
 def beta_cdf(t, alpha, beta):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -304,6 +305,26 @@ class TestInfer:
         cfg = write_config(tmp_path, doc)
         assert main(["infer", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "system.domains[1].subdomains[0].label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "level, label, svg",
+        [("domain", "a\ud800b", False), ("subdomain", "a\u0000b", True), ("subdomain", "a\rb", False)],
+        ids=["surrogate", "nul-with-svg", "carriage-return"],
+    )
+    def test_unwritable_label_exit_code(self, tmp_path, capsys, level, label, svg):
+        # the surrogate ran the whole inference, then emit_csv raised
+        # UnicodeEncodeError and left a partial envelopes.csv; the NUL wrote,
+        # with exit 0, an SVG that is not XML; csv.writer left the lone CR
+        # unquoted, so the CSV read it back as a line end
+        doc = json.loads(json.dumps(DEGENERATE))
+        domain = doc["hierarchy"]["domains"][0]
+        (domain if level == "domain" else domain["subdomains"][0])["label"] = label
+        doc["output"] = {"csv": True, "json": True, "svg": svg}
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        path = "system.domains[0]" + (".subdomains[0]" if level == "subdomain" else "")
+        assert f"{path}.label: U+{ord(label[1]):04X} at index 1 cannot be written" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # Beta(1e308, 1e308) priors overflow every grid log-weight to nan.
@@ -713,10 +734,24 @@ def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _run_recorded(argv):
+    """main(argv)'s exit code, an argparse exit's among them, and the
+    RuntimeWarnings of the run, recorded rather than raised: overflow on an
+    extreme input is expected on the way to exit 2 or 3."""
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # Whole configs at tiny sizes with extreme values: counts up to 2**53, box
 # bounds from 1e-320 to 1.7e308, nu ranges from 1e-310 to 1e308 and
 # horizons up to 2**53.  Each number is drawn from the extreme range or a
-# moderate one, so that many runs get through to a report.
+# moderate one, so that many runs get through to a report.  Labels, where
+# set, are drawn from every code point, surrogates and controls among them.
 _extreme_box = st.lists(
     st.lists(st.one_of(st.floats(1e-320, 1.7e308), st.floats(0.5, 30.0)), min_size=2, max_size=2).map(sorted),
     min_size=4,
@@ -724,10 +759,19 @@ _extreme_box = st.lists(
 ).map(lambda ivs: dict(zip("abcd", ivs)))
 
 
+_label = st.text(st.characters(exclude_categories=()), max_size=3)
+
+
+def _labelled(draw, doc):
+    """`doc`, with a label drawn from every code point, or without one."""
+    label = draw(st.one_of(st.none(), _label))
+    return doc if label is None else {"label": label, **doc}
+
+
 @st.composite
 def _subdomain(draw):
     total = draw(st.one_of(st.integers(0, 2**53), st.integers(0, 1000)))
-    return {"correct": draw(st.integers(0, total)), "total": total}
+    return _labelled(draw, {"correct": draw(st.integers(0, total)), "total": total})
 
 
 def _split(n):
@@ -738,7 +782,7 @@ def _split(n):
 @st.composite
 def _domain(draw):
     subs = draw(st.lists(_subdomain(), min_size=1, max_size=2))
-    return {"subdomains": subs, "omega": draw(_split(len(subs))), "box": draw(_extreme_box)}
+    return _labelled(draw, {"subdomains": subs, "omega": draw(_split(len(subs))), "box": draw(_extreme_box)})
 
 
 @st.composite
@@ -758,7 +802,7 @@ def _whole_config(draw):
             "master_seed": draw(st.integers(0, 2**64 - 1)),
         },
         "query": {"horizons": draw(st.lists(st.integers(1, 2**53), min_size=1, max_size=3))},
-        "output": {"csv": False, "json": True, "svg": False},
+        "output": {"csv": True, "json": True, "svg": True},
     }
 
 
@@ -810,21 +854,62 @@ def _whole_config(draw):
         "mc": {"samples_per_config": 1, "configs_per_domain": 7, "pairing_cap": 1, "t_grid_size": 2},
     }
 )
+@example(  # a surrogate label ran the whole inference, then emit_csv raised UnicodeEncodeError: exit 1
+    doc={
+        **DEGENERATE,
+        "hierarchy": {
+            "domains": [{"label": "a\ud800b", "subdomains": [{"correct": 0, "total": 0}], "omega": [1.0]}],
+            "weights": [1.0],
+        },
+        "output": {"csv": True, "json": True, "svg": False},
+    }
+)
+@example(  # a NUL in a label wrote an SVG that is not XML, with exit 0
+    doc={
+        **DEGENERATE,
+        "hierarchy": {
+            "domains": [{"subdomains": [{"label": "a\u0000b", "correct": 0, "total": 0}], "omega": [1.0]}],
+            "weights": [1.0],
+        },
+        "output": {"csv": True, "json": True, "svg": True},
+    }
+)
+@example(  # csv.writer left a CR in a label unquoted, so envelopes.csv read it back as a line end
+    doc={
+        **DEGENERATE,
+        "hierarchy": {
+            "domains": [{"subdomains": [{"label": "a\rb", "correct": 0, "total": 0}], "omega": [1.0]}],
+            "weights": [1.0],
+        },
+        "output": {"csv": True, "json": True, "svg": True},
+    }
+)
 def test_whole_config_exits_cleanly(doc):
-    # every input maps to a documented exit code, and an exit-0 report holds
-    # only finite bands in [0, 1] with lower <= upper and CDFs that rise to
-    # 1.  Overflow on an extreme box or grid is expected on the way to exit
-    # 2 or 3, so warnings are recorded, not raised, and an exit-0 run may
-    # have given none.
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = write_config(Path(tmp), doc)
-        code = main(["infer", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    # every input maps to a documented exit code, and an exit-0 run gives no
+    # RuntimeWarning and writes a report that holds only finite bands in
+    # [0, 1] with lower <= upper and CDFs that rise to 1, CSVs that read
+    # back every entity's rows, and an SVG that parses with every entity's
+    # legend
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = write_config(Path(tmp), doc), Path(tmp) / "o"
+        code, caught = _run_recorded(["infer", "--config", str(cfg), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
         if code != EXIT_OK:
+            assert code == EXIT_IO or not out.exists()
             return
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        report = json.loads((Path(tmp) / "o" / "report.json").read_text())
+        assert not caught
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        entities = [(e["level"], e["entity"]) for e in report["envelopes"]]
+        sizes = {"envelopes.csv": len(report["t"]), "reliability.csv": len(report["reliability"][0]["horizons"])}
+        for name, rows_per_entity in sizes.items():
+            with (out / name).open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][0].startswith("# master_seed=") and all(len(row) == 5 for row in rows[1:])
+            assert [tuple(row[:2]) for row in rows[2:]] == [key for key in entities for _ in range(rows_per_entity)]
+        if doc.get("output", {}).get("svg"):
+            svg = xml.dom.minidom.parse(str(out / "envelopes.svg"))
+            legend = ["".join(n.data for n in el.childNodes) for el in svg.getElementsByTagName("text")]
+            assert legend[-len(entities):] == [f"{level}:{entity}" for level, entity in entities]
     pairs = [(e["lower"], e["upper"]) for e in report["envelopes"]]
     pairs += [(r["expected_lower"], r["expected_upper"]) for r in report["reliability"]]
     for lower, upper in pairs:
@@ -888,3 +973,117 @@ def test_baseline_exits_cleanly(argv):
     assert all(0.0 <= p <= 1.0 for p in [doc["posterior_mean"], *envelope, *(v for _, v in reliability)])
     assert all(x[1] >= y[1] for x, y in zip(reliability, reliability[1:]))
     assert envelope[0] <= envelope[1]
+
+
+# Sweep files at tiny sizes: `--boxes` entries with bounds from 1e-320 to
+# 1.7e308, in either order, beside null, number and missing-key entries;
+# `--weights` entries whose `omegas` and `weights` vectors hold extreme or
+# negative values, or have the wrong length.
+SWEEP_BASE = {
+    "schema_version": 1,
+    "hierarchy": {
+        "domains": [
+            {"subdomains": [{"correct": 7, "total": 10}, {"correct": 2, "total": 5}], "omega": [0.5, 0.5]},
+            {"subdomains": [{"correct": 30, "total": 40}], "omega": [1.0]},
+        ],
+        "weights": [0.5, 0.5],
+    },
+    "grid": {"n_mu": 3, "n_nu": 2},
+    "mc": {"samples_per_config": 10, "configs_per_domain": 3, "pairing_cap": 4, "t_grid_size": 5},
+    "query": {"horizons": [1, 7]},
+}
+
+_bound = st.one_of(st.floats(1e-320, 1.7e308), st.floats(0.5, 30.0))
+_box = st.fixed_dictionaries({k: st.lists(_bound, min_size=2, max_size=2) for k in "abcd"})
+_valid_box = _box.map(lambda box: {k: sorted(iv) for k, iv in box.items()})
+_box_entry = st.one_of(
+    _valid_box,
+    _box,
+    st.none(),
+    st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(_box, st.sampled_from("abcd")).map(lambda bk: {k: iv for k, iv in bk[0].items() if k != bk[1]}),
+)
+_weight = st.one_of(st.floats(0.0, 1.0), st.floats(-1.7e308, 1.7e308), st.floats(1e-320, 1e-300))
+_valid_op = st.fixed_dictionaries({}, optional={"omegas": st.tuples(_split(2), _split(1)).map(list), "weights": _split(2)})
+
+
+def _vector(n):
+    """A weight vector for n entries: `_split(n)`, or any values, of length n or of any length."""
+    return st.one_of(_split(n), st.lists(_weight, min_size=n, max_size=n), st.lists(_weight, max_size=3))
+
+
+@st.composite
+def _op_entry(draw):
+    entry = {}
+    if draw(st.booleans()):
+        entry["omegas"] = [draw(_vector(n)) for n in draw(st.one_of(st.just([2, 1]), st.lists(st.integers(0, 3))))]
+    if draw(st.booleans()):
+        entry["weights"] = draw(_vector(2))
+    return entry
+
+
+# half the sweeps have only well-formed entries, so that many of them run
+_sweeps = {
+    "box": st.one_of(st.lists(_valid_box, max_size=3), st.lists(_box_entry, max_size=3)),
+    "op": st.one_of(st.lists(_valid_op, max_size=3), st.lists(_op_entry(), max_size=3)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["box", "op"]), data=st.data())
+def test_sweep_exits_cleanly(kind, data):
+    # every sweep file maps to exit 0, 2 or 3 with no exception; an exit-0
+    # sweep gives no RuntimeWarning and leaves one run per entry, and an
+    # exit-2 sweep, whose entries are all read before the first run, none
+    entries = data.draw(_sweeps[kind])
+    command, option = ("sweep-hyper", "--boxes") if kind == "box" else ("sweep-op", "--weights")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, sweep, out = write_config(Path(tmp), SWEEP_BASE), Path(tmp) / "sweep.json", Path(tmp) / "o"
+        sweep.write_text(json.dumps(entries))
+        code, caught = _run_recorded([command, "--config", str(cfg), "--out", str(out), option, str(sweep)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if code == EXIT_OK:
+            assert not caught
+            assert sorted(os.listdir(out)) == [f"{kind}{k:02d}" for k in range(len(entries))]
+        elif code == EXIT_CONFIG:
+            assert not out.exists()
+
+
+# synth command lines: `--small` and `--large` lists of any length with
+# sizes up to 2**53, any noise, 1 to 6 configs per domain, 1 to 30 samples
+# per config and any seed.
+_size = st.one_of(st.integers(0, 2**53), st.integers(0, 1000))
+
+
+@st.composite
+def _synth_argv(draw):
+    argv = ["synth", "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    for name in ("--small", "--large"):
+        sizes = draw(st.one_of(st.lists(_size, min_size=4, max_size=4), st.lists(_size, max_size=6)))
+        argv += [name, ",".join(map(str, sizes))]
+    argv += ["--noise", repr(draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(allow_nan=False))))]
+    return argv + ["--configs", str(draw(st.integers(1, 6))), "--samples", str(draw(st.integers(1, 30)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_synth_argv())
+@example(  # --noise -0.0 passed the [0, 1) check, then numpy's uniform(0.0, -0.0) raised: exit 1
+    argv=["synth", "--seed", "0", "--small", "0,1,0,1", "--large", "0,1,0,1", "--noise", "-0.0",
+          "--configs", "1", "--samples", "1"]
+)
+def test_synth_exits_cleanly(argv):
+    # every command line maps to exit 0, 2 or 3 with no exception; an exit-0
+    # run gives no RuntimeWarning, and its synth_comparison.json holds only
+    # finite numbers, with every median and 90% interval in [0, 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, caught = _run_recorded(argv + ["--out", tmp])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if code != EXIT_OK:
+            return
+        assert not caught
+        doc = json.loads((Path(tmp) / "synth_comparison.json").read_text(), parse_constant=_refuse_constant)
+    assert len(doc["rows"]) == 18
+    for row in doc["rows"]:
+        for lo, hi in (row["median"], row["interval_90"]):
+            assert 0.0 <= lo <= hi <= 1.0
+        assert 0.0 <= row["error"][0] <= row["error"][1] <= 1.0

@@ -103,6 +103,10 @@ class TestOpScenarios:
         scen = op_scenarios(gt, noise=0.0, seed=0)
         np.testing.assert_allclose(scen["approx"], gt.op, atol=1e-15)
 
+    def test_negative_zero_noise_is_zero_noise(self):
+        gt = default_ground_truth()
+        assert op_scenarios(gt, noise=-0.0, seed=3) == op_scenarios(gt, noise=0.0, seed=3)
+
     def test_all_sum_to_one(self):
         gt = default_ground_truth()
         scen = op_scenarios(gt, noise=0.2, seed=9)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from hipllm.config import parse_config
 from hipllm.hyperposterior import (
@@ -14,7 +15,6 @@ from hipllm.hyperposterior import (
     NumericalError,
     build_grid,
     hyper_posterior,
-    log_marginal_likelihood,
     log_marginal_likelihood_grid,
     log_prior_density,
 )
@@ -113,13 +113,33 @@ class TestLogPriorDensity:
             log_prior_density(0.0, 1.0, (1, 1, 1, 1))
 
 
+def nodes(*mu_nu):
+    """A grid of the (mu, nu) nodes given, with unit cell measures."""
+    mu, nu = np.array(mu_nu, dtype=float).T
+    return HyperGrid(mu=mu, nu=nu, log_measure=np.zeros(mu.size))
+
+
+def pointwise_log_marginal_likelihood(domain, mu, nu):
+    """The likelihood as it was written before it read `HyperGrid.conditional`."""
+    a0 = mu * nu
+    b0 = (1.0 - mu) * nu
+    total = np.zeros(np.broadcast(mu, nu).shape)
+    for sub in domain.subdomains:
+        c, n = sub.correct, sub.total
+        if n == 0:
+            continue
+        log_binom = sp.gammaln(n + 1) - sp.gammaln(c + 1) - sp.gammaln(n - c + 1)
+        total = total + log_binom + sp.betaln(c + a0, n - c + b0) - sp.betaln(a0, b0)
+    return total
+
+
 class TestLogMarginalLikelihood:
     def test_empty_counts(self):
-        assert log_marginal_likelihood(one_subdomain_domain(0, 0), 0.5, 2.0) == 0.0
+        assert log_marginal_likelihood_grid(one_subdomain_domain(0, 0), nodes((0.5, 2.0)))[0] == 0.0
 
     def test_single_trial_by_hand(self):
         # C=1, N=1, mu=0.5, nu=2: B(2,1)/B(1,1) = 1/2
-        val = log_marginal_likelihood(one_subdomain_domain(1, 1), 0.5, 2.0)
+        val = log_marginal_likelihood_grid(one_subdomain_domain(1, 1), nodes((0.5, 2.0)))[0]
         assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_additive_over_subdomains(self):
@@ -130,17 +150,32 @@ class TestLogMarginalLikelihood:
             op_weights=(0.5, 0.5),
             box=default_box(),
         )
-        assert log_marginal_likelihood(both, 0.4, 3.0) == pytest.approx(
-            log_marginal_likelihood(d1, 0.4, 3.0)
-            + log_marginal_likelihood(d2, 0.4, 3.0),
+        g = nodes((0.4, 3.0))
+        assert log_marginal_likelihood_grid(both, g)[0] == pytest.approx(
+            log_marginal_likelihood_grid(d1, g)[0]
+            + log_marginal_likelihood_grid(d2, g)[0],
             rel=1e-12,
         )
 
     def test_finite_on_grid_with_large_counts(self):
         g = build_grid(default_grid())
         dom = one_subdomain_domain(9000, 10_000)
-        vals = log_marginal_likelihood(dom, g.mu, g.nu)
+        vals = log_marginal_likelihood_grid(dom, g)
         assert np.all(np.isfinite(vals))
+
+    def test_conditional_form_is_the_pointwise_formula(self):
+        # reading both Betas from `grid.conditional` gives the bytes of the
+        # formula written out: on both gpt4o domains, and on a domain with a
+        # 0/0 subdomain, on the default grid and a coarse one
+        cfg = parse_config(GPT4O_CONFIG)
+        empty = DomainSpec(
+            subdomains=(SubdomainData(0, 0), SubdomainData(90, 100), SubdomainData(2**53, 2**53)),
+            op_weights=(0.2, 0.3, 0.5),
+        )
+        for g in (build_grid(cfg.grid), build_grid(GridSpec(n_mu=7, n_nu=5, nu_min=1e-3, nu_max=1e3))):
+            for dom in (*cfg.system.domains, empty):
+                expected = pointwise_log_marginal_likelihood(dom, g.mu, g.nu)
+                assert log_marginal_likelihood_grid(dom, g).tobytes() == expected.tobytes()
 
 
 class TestHyperPosterior:
@@ -177,7 +212,7 @@ class TestHyperPosterior:
         dom = one_subdomain_domain(6, 10)
         direct = np.log(
             np.sum(
-                np.exp(log_marginal_likelihood(dom, g.mu, g.nu))
+                np.exp(log_marginal_likelihood_grid(dom, g))
                 * np.exp(log_prior_density(g.mu, g.nu, h))
                 * np.exp(g.log_measure)
             )

@@ -118,6 +118,29 @@ def test_repeated_entity_name_rejected(domain_labels, subdomain_labels, path):
     assert [p for p, _ in exc.value.issues] == [path]
 
 
+@pytest.mark.parametrize(
+    "domain_labels,subdomain_labels,path",
+    [
+        (("a\ud800b", "b"), (("w", "x"), ("y", "z")), "system.domains[0].label"),
+        (("a", "b"), (("w", "x"), ("y", "z\x00")), "system.domains[1].subdomains[1].label"),
+        (("a", "b"), (("\r", "x"), ("y", "z")), "system.domains[0].subdomains[0].label"),
+        (("a", "b\uffff"), (("w", "x"), ("y", "z")), "system.domains[1].label"),
+    ],
+    ids=["surrogate", "nul", "carriage-return", "u+ffff"],
+)
+def test_unwritable_label_rejected(domain_labels, subdomain_labels, path):
+    # what UTF-8, XML 1.0 or an unquoted CSV field cannot hold, refused
+    # before a run, on the API path as on the command line
+    with pytest.raises(ValidationError) as exc:
+        validate(relabel(make_system(), domain_labels, subdomain_labels))
+    assert [p for p, _ in exc.value.issues] == [path]
+
+
+def test_writable_controls_accepted():
+    # tab, line feed, DEL, C1 controls and characters past the BMP are text
+    validate(relabel(make_system(), ("a\tb", "c\nd"), (("\x7f", "\x85"), ("\u2028", "\U0001f600"))))
+
+
 def test_names_shared_across_levels_accepted():
     # keys are (level, name): a domain and a subdomain, or the system, may share a name
     validate(relabel(make_system(), ("system", "x"), (("x", "y"), ("system", "z"))))

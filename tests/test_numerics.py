@@ -15,7 +15,6 @@ from hipllm.numerics import (
     RngState,
     beta_cdf,
     derive_substream,
-    ln_beta,
     sample_categorical,
 )
 
@@ -40,41 +39,6 @@ def trapezoid_beta_cdf(t, alpha, beta, steps=200_000):
     dens = np.exp(log_norm + la + lb)
     dens[~np.isfinite(dens)] = 0.0
     return trapezoid(dens, x)
-
-
-class TestLnBeta:
-    def test_one_one(self):
-        assert ln_beta(1, 1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_one(self):
-        assert ln_beta(2, 1) == pytest.approx(math.log(0.5), rel=1e-12)
-
-    def test_five_nine_vs_factorials(self):
-        exact = math.log(
-            math.factorial(4) * math.factorial(8) / math.factorial(13)
-        )
-        assert ln_beta(5, 9) == pytest.approx(exact, rel=1e-12)
-
-    def test_consistent_with_ln_gamma(self):
-        for x, y in [(0.3, 4.2), (2.0, 7.0), (11.5, 0.01)]:
-            assert ln_beta(x, y) == pytest.approx(
-                math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y), rel=1e-10
-            )
-
-    def test_integer_rationals(self):
-        # exp(ln_beta) matches the exact rational for integer args <= 12
-        for x in range(1, 13):
-            for y in range(1, 13):
-                exact = (
-                    math.factorial(x - 1)
-                    * math.factorial(y - 1)
-                    / math.factorial(x + y - 1)
-                )
-                assert math.exp(ln_beta(x, y)) == pytest.approx(exact, rel=1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            ln_beta(0.0, 1.0)
 
 
 class TestBetaCdf:
@@ -133,7 +97,7 @@ class TestBetaCdf:
         "alpha,beta", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan), (2.0, math.inf)]
     )
     def test_non_finite_shapes_rejected(self, alpha, beta):
-        # ln_beta refuses these too; betainc alone returns nan or 0.0
+        # betainc alone returns nan or 0.0
         with pytest.raises(DomainError):
             beta_cdf(0.5, alpha, beta)
         with pytest.raises(DomainError):
