@@ -1,9 +1,10 @@
 """Strict JSON configuration schema for the command-line front end.
 
 Configs are the experiment record: unknown keys are rejected everywhere so
-a typo can never silently fall back to a default, and the schema carries an
-explicit version field.  `load_json` reads every JSON input file, and
-`parse_sweep` reads a sweep file as patches to a resolved config.
+a typo can never silently fall back to a default, nor a repeated key to its
+last value, and the schema carries an explicit version field.  `load_json`
+reads every JSON input file, and `parse_sweep` reads a sweep file as
+patches to a resolved config.
 """
 
 from __future__ import annotations
@@ -221,16 +222,28 @@ def config_to_dict(cfg: RunConfig) -> Dict[str, Any]:
 
 
 def load_json(path: str | Path) -> Any:
-    """The JSON document in file `path`.  A syntax error, or bytes that
-    are not UTF-8, become a `ConfigError` naming the file and the place."""
+    """The JSON document in file `path`.  A syntax error, bytes that are
+    not UTF-8, a key given twice in one object, or nesting too deep to
+    parse become a `ConfigError` naming the file and the place."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} given twice in one object")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -10,13 +10,15 @@ a midpoint/log-cell product grid and computes those weights in log space,
 for a block of (B, 4) config rows (a, b, c, d) at once: one (B, G) array,
 a row per config.  The priors of a box are one exponential family, so a
 block's log-priors are its natural parameters eta (B, 4) times the grid's
-statistics T (4, G), plus a log-normaliser per config.
+statistics T (4, G), plus a log-normaliser per config.  The grid forms T
+once, when it is made; `hyper_posterior` is the one place that forms eta
+and the normaliser, so the prior density is evaluated nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -29,7 +31,6 @@ __all__ = [
     "NumericalError",
     "Posterior",
     "build_grid",
-    "log_prior_density",
     "log_marginal_likelihood_grid",
     "hyper_posterior",
 ]
@@ -68,7 +69,7 @@ class HyperGrid:
         mu_inside = np.all((self.mu > 0.0) & (self.mu < 1.0))
         if not (mu_inside and np.all((self.nu > 0.0) & (self.nu < np.inf))):
             raise DomainError("grid nodes need 0 < mu < 1 and finite nu > 0")
-        self.T = _statistics(self.mu, self.nu)
+        self.T = np.stack([np.log(self.mu), np.log1p(-self.mu), np.log(self.nu), self.nu])
 
     @property
     def size(self) -> int:
@@ -100,34 +101,6 @@ def build_grid(spec: GridSpec) -> HyperGrid:
     return HyperGrid(mu=mu, nu=nu, log_measure=np.log(np.repeat(nu_measure, spec.n_mu)))
 
 
-def _statistics(mu, nu) -> np.ndarray:
-    """T = (log mu, log(1 - mu), log nu, nu) on a new first axis."""
-    return np.stack(np.broadcast_arrays(np.log(mu), np.log1p(-mu), np.log(nu), nu))
-
-
-def _natural(configs) -> Tuple[np.ndarray, np.ndarray]:
-    """The natural parameters eta = (a - 1, b - 1, c - 1, -d), (B, 4), of a
-    block of config rows (a, b, c, d), and their log-normalisers
-    c log d - ln Gamma(c) - ln B(a, b), (B,)."""
-    a, b, c, d = np.asarray(configs, dtype=float).T
-    eta = np.stack([a - 1.0, b - 1.0, c - 1.0, -d], axis=1)
-    return eta, c * np.log(d) - sp.gammaln(c) - sp.betaln(a, b)
-
-
-def log_prior_density(mu, nu, config: Sequence[float]):
-    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d) for one config
-    (a, b, c, d), eta . T plus the log-normaliser; vectorized over mu/nu
-    arrays, 0 < mu < 1."""
-    mu_a = np.asarray(mu, dtype=float)
-    nu_a = np.asarray(nu, dtype=float)
-    if np.any(mu_a <= 0.0) or np.any(mu_a >= 1.0):
-        raise DomainError("log_prior_density requires 0 < mu < 1")
-    if np.any(nu_a <= 0.0):
-        raise DomainError("log_prior_density requires nu > 0")
-    eta, log_norm = _natural([config])
-    return (np.einsum("k,k...->...", eta[0], _statistics(mu_a, nu_a)) + log_norm[0])[()]
-
-
 def log_marginal_likelihood_grid(domain: DomainSpec, grid: HyperGrid) -> np.ndarray:
     """Log of the product over subdomains of the Beta-Binomial likelihood
     binom(N, C) B(alpha, beta) / B(alpha0, beta0) on every grid node, in log
@@ -150,7 +123,8 @@ def hyper_posterior(configs, grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
     configs, the (B, 4) rows (a, b, c, d) of `configs`, from
     `log_lik = log_marginal_likelihood_grid(domain, grid)`.
     Row b's log-weights are eta_b . T (one einsum, whose rows do not depend
-    on the block), its log-normaliser, log_lik and the log cell measure.
+    on the block) with eta_b = (a - 1, b - 1, c - 1, -d), its log-normaliser
+    c log d - ln Gamma(c) - ln B(a, b), log_lik and the log cell measure.
 
     Each row's weights sum to 1 and its log_evidence is the quadrature
     estimate of log Pr(counts | config).  Normalization subtracts each row's
@@ -161,7 +135,10 @@ def hyper_posterior(configs, grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
     floats near 1.8e308 lie about 1e292 apart.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the max below
-        eta, log_norm = _natural(configs)
+        configs = np.asarray(configs, dtype=float)
+        a, b, c, d = configs.T
+        eta = np.stack([a - 1.0, b - 1.0, c - 1.0, -d], axis=1)
+        log_norm = c * np.log(d) - sp.gammaln(c) - sp.betaln(a, b)
         log_w = np.einsum("bk,kg->bg", eta, grid.T)
         log_w += log_norm[:, None]
         log_w += log_lik
@@ -169,7 +146,7 @@ def hyper_posterior(configs, grid: HyperGrid, log_lik: np.ndarray) -> Posterior:
     m = log_w.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         r = int(np.argmin(np.isfinite(m[:, 0])))
-        config = tuple(np.asarray(configs, dtype=float)[r].tolist())
+        config = tuple(configs[r].tolist())
         raise NumericalError(f"all grid log-weights non-finite (max={float(m[r, 0])}) at config (a, b, c, d) = {config}")
     log_w -= m
     w = np.exp(log_w, out=log_w)

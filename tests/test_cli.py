@@ -726,6 +726,42 @@ def test_malformed_command_line_value_exit_code(tmp_path, argv):
     assert code == EXIT_CONFIG
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+_MC = '"mc": {"samples_per_config": 400, "configs_per_domain": 4, "t_grid_size": 51}'
+
+
+@pytest.mark.parametrize(
+    "command, option, text, message",
+    [
+        ("infer", "--config", json.dumps(DEGENERATE).replace('"total": 10', '"total": 10, "correct": 2'),
+         "key 'correct' given twice in one object"),
+        ("infer", "--config", json.dumps(DEGENERATE).replace(_MC, _MC + ", " + _MC.replace("400", "4000")),
+         "key 'mc' given twice in one object"),
+        ("sweep-hyper", "--boxes", '[{"a": [1, 2], "b": [1, 1], "c": [1, 1], "d": [1, 1], "a": [3, 4]}]',
+         "key 'a' given twice in one object"),
+        ("sweep-op", "--weights", '[{"weights": [0.5], "weights": [1.0]}]', "key 'weights' given twice in one object"),
+        ("infer", "--config", _DEEP, "JSON nested too deeply to parse"),
+        ("sweep-hyper", "--boxes", _DEEP, "JSON nested too deeply to parse"),
+        ("sweep-op", "--weights", _DEEP, "JSON nested too deeply to parse"),
+    ],
+    ids=["config-key-twice", "config-object-twice", "boxes-key-twice", "weights-key-twice",
+         "config-too-deep", "boxes-too-deep", "weights-too-deep"],
+)
+def test_json_the_parser_would_misread_exit_code(tmp_path, capsys, command, option, text, message):
+    # json.loads keeps a repeated key's last value and overflows the stack
+    # on deep nesting; both are configuration errors naming the file
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    cfg = path if option == "--config" else write_config(tmp_path, DEGENERATE)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if option != "--config":
+        argv += [option, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     # 10**14 draws fail to allocate at once: exit 2 with a message, no traceback
     assert main(["synth", "--out", str(tmp_path / "o"), "--samples", f"{10**14}"]) == EXIT_CONFIG

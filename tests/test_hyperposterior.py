@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
 from hipllm.config import parse_config
 from hipllm.hyperposterior import (
@@ -16,7 +17,6 @@ from hipllm.hyperposterior import (
     build_grid,
     hyper_posterior,
     log_marginal_likelihood_grid,
-    log_prior_density,
 )
 from hipllm.inference import CONFIG_BLOCK, generate_configs
 from hipllm.model import (
@@ -88,29 +88,37 @@ class TestBuildGrid:
             HyperGrid(mu=np.array(mu), nu=np.array(nu), log_measure=np.zeros(2))
 
 
+def log_prior_density(mu, nu, h):
+    """Log density of Beta(mu | a, b) * Gamma(nu | c, rate=d) from
+    scipy.stats, an oracle that shares no code with `hyper_posterior`."""
+    a, b, c, d = h
+    return stats.beta.logpdf(mu, a, b) + stats.gamma.logpdf(nu, c, scale=1.0 / d)
+
+
 class TestLogPriorDensity:
+    """The prior density as `hyper_posterior` forms it: with no data and
+    unit cell measures, a node's weight is its prior density over their sum."""
+
     def test_flat_config(self):
         # Beta(1,1) density 1, Gamma(1, rate=1) density exp(-nu)
-        h = (1, 1, 1, 1)
-        assert log_prior_density(0.3, 2.0, h) == pytest.approx(-2.0, abs=1e-12)
+        weights, log_evidence = posterior(one_subdomain_domain(0, 0), (1, 1, 1, 1), nodes((0.3, 2.0), (0.5, 1.0)))
+        assert weights[0] / weights[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert log_evidence == pytest.approx(math.log(math.exp(-2.0) + math.exp(-1.0)), abs=1e-12)
 
     def test_symmetric_beta(self):
         # Beta(2,2) density 6*mu*(1-mu) = 1.5 at mu=0.5
-        h = (2, 2, 1, 1)
-        assert log_prior_density(0.5, 1.0, h) == pytest.approx(
-            math.log(1.5) - 1.0, abs=1e-12
+        weights, log_evidence = posterior(one_subdomain_domain(0, 0), (2, 2, 1, 1), nodes((0.5, 1.0), (0.5, 2.0)))
+        assert weights[1] / weights[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert log_evidence == pytest.approx(
+            math.log(1.5) + math.log(math.exp(-1.0) + math.exp(-2.0)), abs=1e-12
         )
 
     @pytest.mark.parametrize("h", [(1, 1, 1, 1), (12, 1, 25, 25),
                                    (1, 12, 1, 25), (5, 5, 3, 0.5)])
     def test_integrates_to_one_on_default_grid(self, h):
-        g = build_grid(default_grid())
-        mass = np.exp(log_prior_density(g.mu, g.nu, h) + g.log_measure).sum()
-        assert mass == pytest.approx(1.0, rel=0.02)
-
-    def test_boundary_rejected(self):
-        with pytest.raises(Exception):
-            log_prior_density(0.0, 1.0, (1, 1, 1, 1))
+        # with no data the evidence is the prior's mass on the grid
+        _, log_evidence = posterior(one_subdomain_domain(0, 0), h, build_grid(default_grid()))
+        assert math.exp(log_evidence) == pytest.approx(1.0, rel=0.02)
 
 
 def nodes(*mu_nu):
