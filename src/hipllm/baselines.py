@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .hyperposterior import NumericalError
-from .model import EPS, SystemSpec
+from .model import EPS, SystemSpec, aggregate
 from .numerics import RngState
 
 __all__ = [
@@ -150,19 +150,17 @@ def bb_system_samples(
     """System-level samples under independent per-subdomain posteriors.
 
     `priors` is flattened in domain-major order, one per subdomain; each
-    accuracy is drawn from its conjugate posterior and aggregated by the
-    flattened operational weights W_i * Omega_ij.
+    accuracy is drawn in that order from its conjugate posterior, and
+    `aggregate` makes each p_i by Omega_i, then p_L by W.
     """
     n_subs = sum(len(d.subdomains) for d in system.domains)
     if len(priors) != n_subs:
         raise ValueError(f"expected {n_subs} priors, got {len(priors)}")
     rng = RngState(seed)
-    p_l = np.zeros(s)
-    k = 0
-    for w_i, domain in zip(system.domain_weights, system.domains):
-        for omega, sub in zip(domain.op_weights, domain.subdomains):
-            post = bb_update(sub.correct, sub.total, priors[k].alpha, priors[k].beta)
-            theta = rng.gen.beta(post.alpha, post.beta, size=s)
-            p_l += w_i * omega * theta
-            k += 1
-    return p_l
+    priors_of = iter(priors)
+    domain_p = []
+    for domain in system.domains:
+        posts = [bb_update(sub.correct, sub.total, pr.alpha, pr.beta) for sub, pr in zip(domain.subdomains, priors_of)]
+        theta = np.stack([rng.gen.beta(post.alpha, post.beta, size=s) for post in posts])
+        domain_p.append(aggregate(theta.T, domain.op_weights))
+    return aggregate(np.stack(domain_p).T, system.domain_weights)

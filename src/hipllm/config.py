@@ -223,8 +223,9 @@ def config_to_dict(cfg: RunConfig) -> Dict[str, Any]:
 
 def load_json(path: str | Path) -> Any:
     """The JSON document in file `path`.  A syntax error, bytes that are
-    not UTF-8, a key given twice in one object, or nesting too deep to
-    parse become a `ConfigError` naming the file and the place."""
+    not UTF-8, a key given twice in one object, nesting too deep to parse,
+    or an integer longer than Python converts (sys.get_int_max_str_digits)
+    become a `ConfigError` naming the file and the place."""
 
     def unique(pairs):
         obj = {}
@@ -244,6 +245,10 @@ def load_json(path: str | Path) -> Any:
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # only an integer past the digit limit gets here
+        raise ConfigError(f"{path}: JSON integer too long to parse: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> RunConfig:

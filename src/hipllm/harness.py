@@ -26,6 +26,7 @@ from .model import (
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
+    aggregate,
     default_grid,
     default_mc,
 )
@@ -76,7 +77,7 @@ class GroundTruth:
 
     @property
     def p_system(self) -> float:
-        return float(np.dot(self.theta, self.op))
+        return float(aggregate(self.theta, self.op))
 
 
 def default_ground_truth() -> GroundTruth:
@@ -108,6 +109,8 @@ def op_scenarios(
     if not (0.0 <= noise < 1.0):
         raise ValueError("noise must lie in [0, 1)")
     sizes = np.asarray(gt.sample_sizes, dtype=float)
+    if not sizes.sum() > 0.0:
+        raise ValueError(f"sample sizes {gt.sample_sizes} have no positive total")
     data = sizes / sizes.sum()
     u = RngState(seed).gen.uniform(-noise, abs(noise), size=len(gt.op))  # abs: uniform(0.0, -0.0) raises
     approx = np.asarray(gt.op) * (1.0 + u)

@@ -2,22 +2,21 @@
 
 Each domain draws K hyperparameter configurations from its admissible box,
 the rows (a, b, c, d) of one (K, 4) array, and walks them in blocks of
-CONFIG_BLOCK; one work unit per (domain, block)
-makes its configs' grid hyper-posteriors over (mu, nu) first, in one call
-whose weights are one (B, G) array, and then each config's Monte Carlo
-draws of the subdomain accuracies and the domain aggregate p, one config
-at a time, reducing each where it is made.  `infer`'s unit first runs one
-quadrature per subdomain for the block, which evaluates each (cell, t) Beta
-CDF once for all its configs, and reduces each config to one row per entity
-(each subdomain, then the domain): its CDF on the evaluation grid
-(quadrature for a subdomain, empirical for the domain), then its expected
-reliability at every horizon.  Only p outlives the unit; capped
-cross-domain config pairings combine it into the system aggregate p_L, one
-pairing at a time, which `infer` reduces to one such row in turn and
-`system_sample_arrays` returns.  `profile_samples` serves systems that
+CONFIG_BLOCK; one work unit per (domain, block) makes its configs' grid
+hyper-posteriors over (mu, nu) first, in one call whose weights are one
+(B, G) array, and then each config's Monte Carlo draws of the subdomain
+accuracies theta, one config at a time, reducing each where it is made.
+`infer`'s unit first runs one quadrature per subdomain for the block, which
+evaluates each (cell, t) Beta CDF once for all its configs, and reduces
+each config to one row per entity (each subdomain, then the domain): its
+CDF on the evaluation grid (quadrature for a subdomain, empirical for the
+domain), then its expected reliability at every horizon.  Only the domain
+aggregate p, which `model.aggregate` forms from theta, outlives the unit;
+capped cross-domain config pairings combine it into the system aggregate
+p_L, one pairing at a time, which `infer` reduces to one such row in turn
+and `system_sample_arrays` returns.  `profile_samples` serves systems that
 differ only in their operational profiles: one domain stage without
-quadrature, whose units keep one p per system, the draws under that
-system's within-domain weights, and let the subdomain draws go.
+quadrature, whose units keep one p per system and let the theta go.
 
 The report is one table keyed (level, entity name): every subdomain,
 domain and the system has one `Band`, which `envelope` makes as the
@@ -47,6 +46,7 @@ from .model import (
     McSpec,
     ReliabilityQuery,
     SystemSpec,
+    aggregate,
     entity_keys,
     validate,
 )
@@ -124,7 +124,6 @@ class SampleSet:
     """Monte Carlo draws for one (domain, config) unit."""
 
     theta: np.ndarray   # (S, n_subdomains)
-    p: np.ndarray       # (S,) domain aggregate
 
 
 @dataclass
@@ -223,23 +222,20 @@ def subdomain_marginal_cdf(domain: DomainSpec, j: int, grid: HyperGrid, t: np.nd
 
 
 def sample_domain(domain: DomainSpec, grid: HyperGrid, weights: np.ndarray, s: int, rng: RngState) -> SampleSet:
-    """Monte Carlo draws of subdomain accuracies and the domain aggregate
-    under one config's (G,) posterior weights on the grid.
+    """Monte Carlo draws of subdomain accuracies under one config's (G,)
+    posterior weights on the grid.
 
     Each draw picks a grid cell from the weights, then draws every
-    subdomain accuracy from its conditional Beta, then aggregates with the
-    within-domain operational weights, clipped at 1 against rounding.  The
-    cells come from substream 0 and subdomain j's Beta draws from substream
-    j + 1.  The Beta parameters are the grid's per-cell `conditional`,
-    gathered by the drawn cells.
+    subdomain accuracy from its conditional Beta, the grid's per-cell
+    `conditional` gathered by the drawn cells.  The cells come from
+    substream 0 and subdomain j's Beta draws from substream j + 1.
     """
     cells = sample_categorical(rng.substream(0), weights, size=s)
     theta = np.empty((s, len(domain.subdomains)))
     for j, sub in enumerate(domain.subdomains):
         alpha, beta = grid.conditional(sub)
         theta[:, j] = rng.substream(j + 1).gen.beta(alpha[cells], beta[cells])
-    p = np.minimum(theta @ np.asarray(domain.op_weights), 1.0)
-    return SampleSet(theta=theta, p=p)
+    return SampleSet(theta=theta)
 
 
 def empirical_cdf(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -274,13 +270,9 @@ def sample_system(
     domain_p: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
     """Index-aligned system aggregate p_L, clipped at 1, for one config
-    pairing, where domain_p[i][k] holds domain i's draws under config k."""
-    slices = [domain_p[i][k] for i, k in enumerate(pairing)]
-    sizes = {p.size for p in slices}
-    if len(sizes) != 1:
-        raise ValueError(f"mismatched sample counts across domains: {sorted(sizes)}")
-    w = np.asarray(system.domain_weights)
-    return np.minimum(sum(wi * p for wi, p in zip(w, slices)), 1.0)
+    pairing, where domain_p[i][k] holds domain i's (S,) draws under config k."""
+    rows = np.stack([domain_p[i][k] for i, k in enumerate(pairing)])
+    return aggregate(rows.T, system.domain_weights)
 
 
 def envelope(members: Sequence[np.ndarray], t: np.ndarray) -> Band:
@@ -415,7 +407,7 @@ def profile_samples(
 
     def profiles(i, draws):
         """Domain i's p under each system's within-domain weights."""
-        return [np.minimum(draws.theta @ np.asarray(s.domains[i].op_weights), 1.0) for s in systems]
+        return [aggregate(draws.theta, s.domains[i].op_weights) for s in systems]
 
     # domain_p[i][k][n]: domain i, config k, system n
     domain_p = [
@@ -474,7 +466,8 @@ def infer(
             """One config's rows, each subdomain's then the domain's; and its
             domain draws p."""
             subs = [row(cdf, theta) for cdf, theta in zip(cdfs, draws.theta.T)]
-            return subs + [row(empirical_cdf(draws.p, t), draws.p)], draws.p
+            p = aggregate(draws.theta, domain.op_weights)
+            return subs + [row(empirical_cdf(p, t), p)], p
 
         def unit(weights, draws):
             """The block's quadrature, one (B, T) CDF per subdomain; then each

@@ -3,7 +3,7 @@
 Counts per subdomain, operational-profile weights at two levels, interval
 boxes for the prior hyperparameters, and the numerical settings of the
 engine.  Everything is an immutable dataclass; `validate` checks all
-invariants and returns normalized copies.
+invariants and returns normalized copies, and `aggregate` applies a profile.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "ReliabilityQuery",
     "ValidationError",
     "validate",
+    "aggregate",
     "entity_keys",
     "default_box",
     "default_grid",
@@ -157,6 +158,13 @@ class ValidationError(ValueError):
         self.issues = issues
         lines = "; ".join(f"{path}: {msg}" for path, msg in issues)
         super().__init__(f"invalid specification: {lines}")
+
+
+def aggregate(x, weights) -> np.ndarray:
+    """A profile's aggregate x @ weights of accuracies, clipped at 1: weights
+    summing to 1 within rounding can put it just above 1, where E[p ** n]
+    grows without bound."""
+    return np.minimum(np.asarray(x) @ np.asarray(weights, dtype=float), 1.0)
 
 
 def entity_keys(domain: DomainSpec, i: int) -> List[Tuple[str, str]]:

@@ -45,6 +45,7 @@ from hipllm.model import (
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
+    aggregate,
     default_box,
 )
 from hipllm.numerics import RngState, beta_cdf
@@ -327,11 +328,12 @@ def test_criterion_9_structural_properties():
         config = generate_configs(domain.box, 4, seed=i)[0]
         weights = hyper_posterior([config], hgrid, log_marginal_likelihood_grid(domain, hgrid)).weights[0]
         ds = sample_domain(domain, hgrid, weights, 1000, RngState(50 + i))
-        if np.any(ds.p < ds.theta.min(axis=1) - 1e-12) or np.any(
-            ds.p > ds.theta.max(axis=1) + 1e-12
+        p = aggregate(ds.theta, domain.op_weights)
+        if np.any(p < ds.theta.min(axis=1) - 1e-12) or np.any(
+            p > ds.theta.max(axis=1) + 1e-12
         ):
             issues.append(f"domain {i} aggregate outside subdomain hull")
-        domain_sets.append([ds.p])
+        domain_sets.append([p])
     p_l = sample_system(system, (0, 0), domain_sets)
     stack = np.stack([ds[0] for ds in domain_sets])
     if np.any(p_l < stack.min(axis=0) - 1e-12) or np.any(p_l > stack.max(axis=0) + 1e-12):

@@ -762,6 +762,35 @@ def test_json_the_parser_would_misread_exit_code(tmp_path, capsys, command, opti
     assert not out.exists()
 
 
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("infer", "--config", json.dumps(DEGENERATE).replace('"correct": 7', f'"correct": {_LONG}')),
+        ("sweep-hyper", "--boxes", f"[{_LONG}]"),
+        ("sweep-op", "--weights", f'[{{"weights": [{_LONG}, 0]}}]'),
+    ],
+    ids=["config-long-integer", "boxes-long-integer", "weights-long-integer"],
+)
+def test_integer_too_long_to_parse_exit_code(tmp_path, capsys, command, option, text):
+    # json.loads refuses an integer of more than sys.get_int_max_str_digits()
+    # digits with a ValueError; a Python without the limit parses it, and the
+    # config or sweep file is refused as out of range instead
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    cfg = path if option == "--config" else write_config(tmp_path, DEGENERATE)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if option != "--config":
+        argv += [option, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG):
+        assert f"{path}: JSON integer too long to parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     # 10**14 draws fail to allocate at once: exit 2 with a message, no traceback
     assert main(["synth", "--out", str(tmp_path / "o"), "--samples", f"{10**14}"]) == EXIT_CONFIG

@@ -113,6 +113,13 @@ class TestOpScenarios:
         for vec in scen.values():
             assert sum(vec) == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_total_sample_size_rejected(self):
+        # refused before the data scenario divides by the total, so no nan
+        # weights reach the baselines
+        gt = default_ground_truth()
+        with pytest.raises(ValueError, match="no positive total"):
+            run_rq5(gt, {"r": (0, 0, 0, 0)}, seed=3, grid=FAST_GRID, mc=FAST_MC)
+
 
 class TestSummarizeMethod:
     def test_scalar_median_interpolation(self):

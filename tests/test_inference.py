@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 import hipllm.inference as inference
+from hipllm.baselines import BetaPosterior, bb_system_samples, bb_update
 from hipllm.config import parse_config
 from hipllm.hyperposterior import (
     HyperGrid,
@@ -48,6 +49,7 @@ from hipllm.model import (
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
+    aggregate,
     default_box,
 )
 from hipllm.numerics import RngState, beta_cdf
@@ -473,7 +475,7 @@ class TestSampleDomain:
         grid = build_grid(POINT_GRID)
         w = posterior(dom, (2, 2, 2, 2), grid)
         sl = sample_domain(dom, grid, w, 500, RngState(5))
-        np.testing.assert_array_equal(sl.p, sl.theta[:, 0])
+        np.testing.assert_array_equal(aggregate(sl.theta, dom.op_weights), sl.theta[:, 0])
 
     def test_convex_combination(self):
         dom = DomainSpec(
@@ -484,9 +486,10 @@ class TestSampleDomain:
         grid = build_grid(POINT_GRID)
         w = posterior(dom, (2, 2, 2, 2), grid)
         sl = sample_domain(dom, grid, w, 2000, RngState(6))
-        np.testing.assert_allclose(sl.p, 0.5 * sl.theta[:, 0] + 0.5 * sl.theta[:, 1])
-        assert np.all(sl.p <= sl.theta.max(axis=1) + 1e-15)
-        assert np.all(sl.p >= sl.theta.min(axis=1) - 1e-15)
+        p = aggregate(sl.theta, dom.op_weights)
+        np.testing.assert_allclose(p, 0.5 * sl.theta[:, 0] + 0.5 * sl.theta[:, 1])
+        assert np.all(p <= sl.theta.max(axis=1) + 1e-15)
+        assert np.all(p >= sl.theta.min(axis=1) - 1e-15)
 
     def test_dkw_bound_against_conjugate(self):
         # degenerate grid: p samples are Beta(4,8); DKW at S=1e4, 99%
@@ -499,7 +502,7 @@ class TestSampleDomain:
         for seed in range(5):
             sl = sample_domain(dom, grid, w, s, RngState(seed))
             t = eval_grid(201)
-            emp = empirical_cdf(sl.p, t)
+            emp = empirical_cdf(aggregate(sl.theta, dom.op_weights), t)
             if np.max(np.abs(emp - beta_cdf(t, 4.0, 8.0))) > bound:
                 failures += 1
         assert failures <= 1
@@ -520,7 +523,8 @@ class TestSampleDomain:
         sl = sample_domain(dom, grid, w, s, RngState(11))
         sl_perm = sample_domain(dom_perm, grid, w_perm, s, RngState(12))
         t = eval_grid(201)
-        gap = np.max(np.abs(empirical_cdf(sl.p, t) - empirical_cdf(sl_perm.p, t)))
+        p, p_perm = aggregate(sl.theta, dom.op_weights), aggregate(sl_perm.theta, dom_perm.op_weights)
+        gap = np.max(np.abs(empirical_cdf(p, t) - empirical_cdf(p_perm, t)))
         assert gap <= 2 * math.sqrt(math.log(2 / 1e-6) / (2 * s))
 
     def test_data_dominance(self):
@@ -596,7 +600,7 @@ class TestWorkUnitIdentity:
                     draws = sample_domain(dom, grid, post.weights[b], 3000, rng)
                     theta, p = self.reference_draws(dom, grid, post.weights[b], 3000, rng)
                     np.testing.assert_array_equal(draws.theta, theta)
-                    np.testing.assert_array_equal(draws.p, p)
+                    np.testing.assert_array_equal(aggregate(draws.theta, dom.op_weights), p)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k", [4, 16])
@@ -709,8 +713,9 @@ class TestSampleSystem:
         h = (2, 2, 2, 2)
         w = posterior(sys_.domains[0], h, grid)
         sl = sample_domain(sys_.domains[0], grid, w, 300, RngState(2))
-        p_l = sample_system(sys_, (0,), [[sl.p]])
-        np.testing.assert_array_equal(p_l, sl.p)
+        p = aggregate(sl.theta, sys_.domains[0].op_weights)
+        p_l = sample_system(sys_, (0,), [[p]])
+        np.testing.assert_array_equal(p_l, p)
 
     def test_constant_mixture(self):
         sys_ = SystemSpec(
@@ -733,6 +738,64 @@ class TestSampleSystem:
         )
         with pytest.raises(ValueError):
             sample_system(sys_, (0, 0), [[np.zeros(10)], [np.zeros(20)]])
+
+
+def flattened_bb_system_samples(system, priors, s, seed):
+    """`bb_system_samples` as one flattened loop over W_i * Omega_ij,
+    unclipped: the reference its per-domain `aggregate` form must match."""
+    rng = RngState(seed)
+    p_l = np.zeros(s)
+    k = 0
+    for w_i, domain in zip(system.domain_weights, system.domains):
+        for omega, sub in zip(domain.op_weights, domain.subdomains):
+            post = bb_update(sub.correct, sub.total, priors[k].alpha, priors[k].beta)
+            p_l += w_i * omega * rng.gen.beta(post.alpha, post.beta, size=s)
+            k += 1
+    return p_l
+
+
+class TestAggregate:
+    def test_clipped_where_weights_round_above_one(self):
+        # the two weights sum to 1 + 2**-52 exactly, in either order
+        w = (0.5, 0.5 + 2.0**-52)
+        x = np.ones((5, 2))
+        assert np.all(x @ np.asarray(w) > 1.0)
+        out = aggregate(x, w)
+        assert out.shape == (5,)
+        assert np.all(out == 1.0)
+
+    def test_within_convex_hull_of_each_row(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 7):
+            x = rng.random((1000, n))
+            w = rng.random(n)
+            p = aggregate(x, w / w.sum())
+            assert np.all(p >= x.min(axis=1) - 1e-15)
+            assert np.all(p <= x.max(axis=1) + 1e-15)
+
+    def test_vector_gives_dot_scalar(self):
+        theta, op = (0.75, 0.65, 0.58, 0.45), (0.30, 0.10, 0.20, 0.40)
+        p = aggregate(theta, op)
+        assert np.ndim(p) == 0
+        assert p == np.dot(theta, op)
+
+    def test_sample_system_matches_python_sum(self):
+        system = parse_config(GPT4O_CONFIG).system
+        rng = np.random.default_rng(5)
+        domain_p = [[rng.random(3000), rng.random(3000)] for _ in system.domains]
+        w = np.asarray(system.domain_weights)
+        for pairing in itertools.product(range(2), repeat=len(system.domains)):
+            slices = [domain_p[i][k] for i, k in enumerate(pairing)]
+            old = np.minimum(sum(wi * p for wi, p in zip(w, slices)), 1.0)
+            np.testing.assert_array_max_ulp(sample_system(system, pairing, domain_p), old, maxulp=1)
+
+    def test_baseline_matches_flattened_loop(self):
+        system = parse_config(GPT4O_CONFIG).system
+        priors = [BetaPosterior(1.0, 1.0), BetaPosterior(2.0, 5.0), BetaPosterior(30.0, 3.0), BetaPosterior(4.0, 4.0)]
+        for seed in range(3):
+            new = bb_system_samples(system, priors, 20_000, seed)
+            old = flattened_bb_system_samples(system, priors, 20_000, seed)
+            np.testing.assert_array_max_ulp(new, old, maxulp=4)
 
 
 def profile_system(omega=(0.4, 0.6), weights=(0.7, 0.3), correct=8, box=None, label="a"):
