@@ -14,9 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .hyperposterior import NumericalError
-from .model import EPS, SystemSpec, aggregate
-from .numerics import RngState
+from .model import EPS, ConfigError, SystemSpec, aggregate
+from .numerics import NumericalError, RngState
 
 __all__ = [
     "BetaPosterior",
@@ -55,7 +54,7 @@ class BetaPosterior:
 def bb_update(c: int, n: int, prior_alpha: float, prior_beta: float) -> BetaPosterior:
     """Conjugate update: Beta(a, b) prior + C successes of N trials."""
     if not (0 <= c <= n):
-        raise ValueError(f"need 0 <= correct <= total, got {c}/{n}")
+        raise ConfigError(f"need 0 <= correct <= total, got {c}/{n}")
     return BetaPosterior(prior_alpha + c, prior_beta + (n - c))
 
 

@@ -6,8 +6,8 @@ over prior boxes), `sweep-op` (repeat inference over weight vectors), `synth`
 (synthetic ground-truth comparison tables), `bench` (scaling sweeps with
 power-law fits), and `baseline` (closed-form Beta-Binomial runs).
 
-Exit codes: 0 success, 2 configuration error (a run too large for memory
-among them), 3 numerical failure, 4 I/O error.
+Exit codes: 0 success; 2 a `model.ConfigError` (a `ValidationError` among
+them) or a `MemoryError`; 3 a `numerics.NumericalError`; 4 an `OSError`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from pathlib import Path
 
 from . import harness
 from .baselines import bb_expected_future_reliability, bb_mean_envelope, bb_update
-from .config import ConfigError, RunConfig, config_to_dict, parse_config, parse_sweep
-from .hyperposterior import NumericalError
+from .config import RunConfig, config_to_dict, parse_config, parse_sweep
 from .inference import infer
-from .model import MAX_COUNT, SEED_LIMIT, ReliabilityQuery, ValidationError
-from .numerics import DomainError
+from .model import MAX_COUNT, SEED_LIMIT, ConfigError, ReliabilityQuery
+from .numerics import NumericalError
 from .report import emit_csv, emit_json, emit_svg, write_csv, write_json
 
 EXIT_OK = 0
@@ -168,8 +167,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    if not args.correct <= args.total:
-        raise ConfigError(f"need 0 <= --correct <= --total, got {args.correct}/{args.total}")
     if (args.alpha_range is None) != (args.beta_range is None):
         raise ConfigError("--alpha-range and --beta-range must be given together")
     post = bb_update(args.correct, args.total, args.prior_alpha, args.prior_beta)
@@ -262,7 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
@@ -273,7 +270,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    except (NumericalError, DomainError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

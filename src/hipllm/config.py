@@ -4,7 +4,7 @@ Configs are the experiment record: unknown keys are rejected everywhere so
 a typo can never silently fall back to a default, nor a repeated key to its
 last value, and the schema carries an explicit version field.  `load_json`
 reads every JSON input file, and `parse_sweep` reads a sweep file as
-patches to a resolved config.
+patches to a resolved config.  Malformed input raises `model.ConfigError`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from .model import (
+    ConfigError,
     DomainSpec,
     GridSpec,
     HyperBox,
@@ -24,7 +25,6 @@ from .model import (
     ReliabilityQuery,
     SubdomainData,
     SystemSpec,
-    ValidationError,
     default_box,
     validate,
 )
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration file."""
 
 
 @dataclass
@@ -290,6 +286,6 @@ def parse_sweep(path: str | Path, cfg: RunConfig, kind: str) -> list[RunConfig]:
         doc = _patch(config_to_dict(cfg), entry, kind, where)
         try:
             runs.append(parse_config_dict(doc))
-        except (ConfigError, ValidationError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return runs

@@ -24,21 +24,15 @@ import numpy as np
 from scipy import special as sp
 
 from .model import DomainSpec, GridSpec, SubdomainData, ValidationError
-from .numerics import DomainError
+from .numerics import NumericalError
 
 __all__ = [
     "HyperGrid",
-    "NumericalError",
     "Posterior",
     "build_grid",
     "log_marginal_likelihood_grid",
     "hyper_posterior",
 ]
-
-
-class NumericalError(ArithmeticError):
-    """Non-finite result in grid normalization, or a baseline value whose
-    rounding may pass its stated bound."""
 
 
 class Posterior(NamedTuple):
@@ -68,7 +62,7 @@ class HyperGrid:
     def __post_init__(self):
         mu_inside = np.all((self.mu > 0.0) & (self.mu < 1.0))
         if not (mu_inside and np.all((self.nu > 0.0) & (self.nu < np.inf))):
-            raise DomainError("grid nodes need 0 < mu < 1 and finite nu > 0")
+            raise NumericalError("grid nodes need 0 < mu < 1 and finite nu > 0")
         self.T = np.stack([np.log(self.mu), np.log1p(-self.mu), np.log(self.nu), self.nu])
 
     @property

@@ -4,6 +4,7 @@ Counts per subdomain, operational-profile weights at two levels, interval
 boxes for the prior hyperparameters, and the numerical settings of the
 engine.  Everything is an immutable dataclass; `validate` checks all
 invariants and returns normalized copies, and `aggregate` applies a profile.
+Malformed or invalid input raises `ConfigError`, the CLI's exit 2.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "GridSpec",
     "McSpec",
     "ReliabilityQuery",
+    "ConfigError",
     "ValidationError",
     "validate",
     "aggregate",
@@ -151,7 +153,11 @@ class ReliabilityQuery:
     horizons: Tuple[int, ...] = (1, 2, 5, 10, 20, 50, 100)
 
 
-class ValidationError(ValueError):
+class ConfigError(ValueError):
+    """Malformed or invalid input: the CLI's exit 2."""
+
+
+class ValidationError(ConfigError):
     """Carries the full list of (field path, message) violations."""
 
     def __init__(self, issues: List[Tuple[str, str]]):

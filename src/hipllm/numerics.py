@@ -1,4 +1,4 @@
-"""Special functions and seeded random sampling.
+"""Special functions, seeded random sampling, and `NumericalError` (exit 3).
 
 Everything downstream (grid posteriors, Monte Carlo propagation, baselines)
 is built on the functions here.  The Beta CDF delegates to scipy's betainc;
@@ -16,6 +16,7 @@ from scipy import special as sp
 __all__ = [
     "beta_cdf",
     "derive_substream",
+    "NumericalError",
     "RngState",
     "sample_categorical",
 ]
@@ -29,8 +30,8 @@ _MASK64 = (1 << 64) - 1
 TINY_BETA = 1e-100
 
 
-class DomainError(ValueError):
-    """Input outside the mathematical domain of a special function."""
+class NumericalError(ArithmeticError):
+    """A refused numerical input or result: the CLI's exit 3."""
 
 
 def beta_cdf(t, alpha, beta):
@@ -39,21 +40,21 @@ def beta_cdf(t, alpha, beta):
     Accepts scalars or arrays; t must lie in [0, 1] and alpha, beta must be
     finite and > 0.  Both parameters below TINY_BETA give the two-point
     limit.  A nan from scipy's betainc, which it gives near the mean once
-    alpha + beta passes about 1e16, raises DomainError.
+    alpha + beta passes about 1e16, raises NumericalError.
     """
     ta = np.asarray(t, dtype=float)
     aa, ba = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     if not np.all((0.0 <= ta) & (ta <= 1.0)):
-        raise DomainError("beta_cdf requires t in [0, 1]")
+        raise NumericalError("beta_cdf requires t in [0, 1]")
     if not (np.all((0.0 < aa) & (aa < np.inf)) and np.all((0.0 < ba) & (ba < np.inf))):
-        raise DomainError("beta_cdf requires finite alpha, beta > 0")
+        raise NumericalError("beta_cdf requires finite alpha, beta > 0")
     out = sp.betainc(alpha, beta, t)
     tiny = (aa < TINY_BETA) & (ba < TINY_BETA) & (0.0 < ta) & (ta < 1.0)
     if tiny.any():
         with np.errstate(over="ignore", invalid="ignore"):  # used only where tiny
             out = np.where(tiny, ba / (aa + ba), out)[()]
     if np.isnan(out).any():
-        raise DomainError(f"beta_cdf: betainc gave nan, at alpha up to {np.max(aa):.3g}, beta up to {np.max(ba):.3g}")
+        raise NumericalError(f"beta_cdf: betainc gave nan, at alpha up to {np.max(aa):.3g}, beta up to {np.max(ba):.3g}")
     return out
 
 
@@ -122,11 +123,11 @@ def sample_categorical(rng: RngState, weights, size=None):
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0):
-        raise DomainError("categorical weights must be nonnegative")
+        raise NumericalError("categorical weights must be nonnegative")
     total = w.sum()
     # written so that a nan or infinite sum fails it too
     if not abs(total - 1.0) <= 1e-9:
-        raise DomainError(f"categorical weights sum to {total!r}, not 1 within 1e-9")
+        raise NumericalError(f"categorical weights sum to {total!r}, not 1 within 1e-9")
     cum = np.cumsum(w)
     np.minimum(cum, 1.0, out=cum)  # moves no index: no u reaches 1
     cum[-1] = 1.0

@@ -72,12 +72,12 @@ def emit_csv(report: InferenceReport, out_dir: str | Path) -> Dict[str, Path]:
 
 
 def report_to_dict(
-    report: InferenceReport, config_echo: Optional[Dict[str, Any]] = None
+    report: InferenceReport, config_echo: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """JSON-serializable mirror of the full report."""
+    """JSON-serializable mirror of the full report and its resolved config."""
     return {
         "master_seed": report.master_seed,
-        "config": config_echo if config_echo is not None else {},
+        "config": config_echo,
         "t": [float(v) for v in report.t],
         "envelopes": [
             {
@@ -104,7 +104,7 @@ def report_to_dict(
 def emit_json(
     report: InferenceReport,
     out_dir: str | Path,
-    config_echo: Optional[Dict[str, Any]] = None,
+    config_echo: Dict[str, Any],
 ) -> Path:
     return write_json(Path(out_dir) / "report.json", report_to_dict(report, config_echo))
 

@@ -33,3 +33,21 @@ def test_package_reexports_resolve():
         module = importlib.import_module(f"hipllm.{module_name}")
         assert name in module.__all__, f"{module_name}.{name} is not public"
         assert getattr(hipllm, name) is getattr(module, name)
+
+
+def test_one_exception_per_exit_code():
+    from hipllm import baselines, config, hyperposterior, model, numerics
+
+    assert hyperposterior.NumericalError is numerics.NumericalError is baselines.NumericalError
+    assert config.ConfigError is model.ConfigError
+    assert issubclass(model.ValidationError, model.ConfigError)
+    errors = [name for name, value in vars(numerics).items() if isinstance(value, type) and issubclass(value, Exception)]
+    assert errors == ["NumericalError"]
+
+
+def test_baselines_imports_no_engine_module():
+    # the closed-form baselines stand apart from the grid posterior and the
+    # Monte Carlo engine: they share only the data model and the numerics
+    tree = ast.parse((Path(hipllm.__file__).parent / "baselines.py").read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative and relative <= {"model", "numerics"}

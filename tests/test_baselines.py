@@ -14,9 +14,8 @@ from hipllm.baselines import (
     bb_update,
     informative_prior,
 )
-from hipllm.hyperposterior import NumericalError
 from hipllm.model import DomainSpec, SubdomainData, SystemSpec, default_box
-from hipllm.numerics import RngState
+from hipllm.numerics import NumericalError, RngState
 
 
 class TestUpdate:

@@ -24,8 +24,8 @@ import hipllm
 import hipllm.harness as harness
 from hipllm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from hipllm.config import parse_config_dict
-from hipllm.model import GridSpec, McSpec
-from hipllm.numerics import beta_cdf
+from hipllm.model import ConfigError, GridSpec, McSpec, ValidationError
+from hipllm.numerics import NumericalError, beta_cdf
 
 # Point prior box and single-node grid at (mu, nu) = (0.5, 2): the
 # subdomain posterior is exactly Beta(C + 1, N - C + 1).
@@ -797,6 +797,33 @@ def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "samples per config" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (ConfigError("bad input"), EXIT_CONFIG),
+        (ValidationError([("grid", "bad grid")]), EXIT_CONFIG),
+        (NumericalError("bad number"), EXIT_NUMERICAL),
+        (MemoryError(), EXIT_CONFIG),
+        (OSError("bad disk"), EXIT_IO),
+        (ValueError("a bug"), None),
+    ],
+    ids=["config", "validation", "numerical", "memory", "os", "plain-value-error"],
+)
+def test_exit_code_follows_exception_type(tmp_path, monkeypatch, exc, code):
+    # each refusal's type sets its exit code; any other exception, a plain
+    # ValueError among them, is a program fault and leaves main unreported
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(hipllm.cli, "infer", refuse)
+    argv = ["infer", "--config", str(write_config(tmp_path, DEGENERATE)), "--out", str(tmp_path / "o")]
+    if code is None:
+        with pytest.raises(type(exc), match="a bug"):
+            main(argv)
+    else:
+        assert main(argv) == code
 
 
 def _run_recorded(argv):

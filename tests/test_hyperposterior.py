@@ -13,7 +13,6 @@ from scipy import stats
 from hipllm.config import parse_config
 from hipllm.hyperposterior import (
     HyperGrid,
-    NumericalError,
     build_grid,
     hyper_posterior,
     log_marginal_likelihood_grid,
@@ -26,7 +25,7 @@ from hipllm.model import (
     default_box,
     default_grid,
 )
-from hipllm.numerics import DomainError, RngState
+from hipllm.numerics import NumericalError, RngState
 
 GPT4O_CONFIG = Path(__file__).parent.parent / "configs" / "gpt4o_mini.json"
 
@@ -84,7 +83,7 @@ class TestBuildGrid:
          ([0.5, 0.5], [1.0, np.inf]), ([0.5, 0.5], [1.0, np.nan]), ([0.5, np.nan], [1.0, 1.0])],
     )
     def test_nodes_outside_domain_rejected(self, mu, nu):
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             HyperGrid(mu=np.array(mu), nu=np.array(nu), log_measure=np.zeros(2))
 
 

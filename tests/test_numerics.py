@@ -11,7 +11,7 @@ from scipy import special as sp
 from scipy.integrate import trapezoid
 
 from hipllm.numerics import (
-    DomainError,
+    NumericalError,
     RngState,
     beta_cdf,
     derive_substream,
@@ -88,9 +88,9 @@ class TestBetaCdf:
         assert beta_cdf(lo, alpha, beta) <= beta_cdf(hi, alpha, beta) + 1e-12
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             beta_cdf(1.5, 2, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             beta_cdf(0.5, -1, 2)
 
     @pytest.mark.parametrize(
@@ -98,9 +98,9 @@ class TestBetaCdf:
     )
     def test_non_finite_shapes_rejected(self, alpha, beta):
         # betainc alone returns nan or 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             beta_cdf(0.5, alpha, beta)
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             beta_cdf(np.array([0.2, 0.5]), np.array([1.0, alpha]), np.array([1.0, beta]))
 
     @pytest.mark.parametrize("alpha,beta", [(2.5e-156, 7.5e-156), (1e-160, 1e-150), (1e-300, 3e-301), (5e-101, 1e-200)])
@@ -120,7 +120,7 @@ class TestBetaCdf:
         # exit-0 report once carried it as a subdomain CDF value
         alpha, beta = 0.75e17, 0.25e17
         assert np.isnan(sp.betainc(alpha, beta, 0.75))
-        with pytest.raises(DomainError, match="betainc gave nan"):
+        with pytest.raises(NumericalError, match="betainc gave nan"):
             beta_cdf(np.array([0.5, 0.75]), alpha, beta)
 
 
@@ -136,7 +136,7 @@ class TestSampling:
         np.testing.assert_allclose(freqs, w, atol=0.01)
 
     def test_categorical_unnormalized_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             sample_categorical(RngState(1), [0.5, 0.6])
 
     @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ class TestSampling:
     )
     def test_categorical_non_finite_rejected(self, w):
         # a nan weight made abs(sum - 1) > 1e-9 False and every draw index 0
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             sample_categorical(RngState(1), w, size=10)
 
 
