@@ -13,15 +13,18 @@ CDF on the evaluation grid (quadrature for a subdomain, empirical for the
 domain), then its expected reliability at every horizon.  Only the domain
 aggregate p, which `model.aggregate` forms from theta, outlives the unit;
 capped cross-domain config pairings combine it into the system aggregate
-p_L, one pairing at a time, which `infer` reduces to one such row in turn
-and `system_sample_arrays` returns.  `profile_samples` serves systems that
+p_L, one pairing at a time.  `infer` walks the pairings in chunks of
+PAIRING_CHUNK, one work unit each: a chunk makes one such row per pairing
+and returns only the rows' pointwise min and max.  `system_sample_arrays`
+returns the p_L themselves.  `profile_samples` serves systems that
 differ only in their operational profiles: one domain stage without
 quadrature, whose units keep one p per system and let the theta go.
 
 The report is one table keyed (level, entity name): every subdomain,
 domain and the system has one `Band`, which `envelope` makes as the
-pointwise min-max of its members' rows, and the grid t and the horizons
-are stored once.  `envelope` is the engine's only reducer.
+pointwise min-max of its members' rows (for the system, of its pairing
+chunks' min and max rows), and the grid t and the horizons are stored once.
+`envelope` makes every band.
 
 All randomness flows through substreams derived from (master seed, stage,
 domain index, config index), so results are identical under any parallel
@@ -82,6 +85,11 @@ QUAD_BLOCK = 256
 # `generate_configs` places first.
 CONFIG_BLOCK = 16
 
+# Pairings per work unit of the system stage: a unit makes its pairings'
+# rows and returns only their pointwise min and max, so the stage holds one
+# chunk of rows per worker and two rows per chunk, however large the cap.
+PAIRING_CHUNK = 64
+
 # Bound on the quadrature's error against the full grid mixture: each of
 # the G cells may drop QUAD_EPS / G of it outside its window.
 QUAD_EPS = 1e-12
@@ -135,7 +143,7 @@ class InferenceReport:
     horizons: Tuple[int, ...]
     bands: Dict[Tuple[str, str], Band]
     master_seed: int
-    live_array_bytes: int = 0  # array-size tally, not a measured peak
+    live_array_bytes: int = 0  # array-size tally, not a measured peak; two system rows per pairing chunk
 
 
 def generate_configs(box: HyperBox, k: int, seed: int) -> np.ndarray:
@@ -362,14 +370,19 @@ def _domain(domain, i, grid, mc, master, threads, unit) -> list:
     return [result for block in blocks for result in block]
 
 
-def _pair(system, domain_p, mc, master) -> Iterator[np.ndarray]:
-    """System aggregate p_L of each cross-domain config pairing, made one
-    at a time as the caller iterates."""
-    pairings = generate_pairings(
+def _pairings(domain_p, mc, master) -> List[Tuple[int, ...]]:
+    """The capped cross-domain config pairings of domain_p[i][k], drawn on
+    the pairings substream."""
+    return generate_pairings(
         [len(p) for p in domain_p],
         mc.pairing_cap,
         master.substream(_STAGE_PAIRINGS).seed,
     )
+
+
+def _system_p(system, pairings, domain_p) -> Iterator[np.ndarray]:
+    """System aggregate p_L of each of `pairings`, made one at a time as the
+    caller iterates."""
     return (sample_system(system, pairing, domain_p) for pairing in pairings)
 
 
@@ -418,7 +431,8 @@ def profile_samples(
         for i, domain in enumerate(systems[0].domains)
     ]
     for n, system in enumerate(systems):
-        yield _pair(system, [[p[n] for p in units] for units in domain_p], mc, master)
+        system_p = [[p[n] for p in units] for units in domain_p]
+        yield _system_p(system, _pairings(system_p, mc, master), system_p)
 
 
 def system_sample_arrays(
@@ -440,6 +454,10 @@ def infer(
     threads: int = 1,
 ) -> InferenceReport:
     """Full envelope report at subdomain, domain, and system levels.
+
+    The system band's members, the capped pairings' rows, fold in chunks of
+    PAIRING_CHUNK on the pool; min and max are exact, so the band equals the
+    envelope of every pairing's row.
 
     Deterministic given the master seed; `threads` only affects speed
     because every work unit owns a substream derived from its indices.
@@ -484,13 +502,21 @@ def infer(
         domains.append(entries[-1])
         retained += sum(p.nbytes for p in domain_p[-1]) + sum(r.nbytes for rows in members for r in rows)
 
-    # one member per pairing
-    system_rows = [row(empirical_cdf(p, t), p) for p in _pair(system, domain_p, mc, master)]
-    top = (("system", "system"), envelope(system_rows, t))
+    pairings = _pairings(domain_p, mc, master)
+
+    def fold(n):
+        """Chunk n's pairings, one row each, reduced to the rows' pointwise
+        min and max."""
+        chunk = pairings[n * PAIRING_CHUNK : (n + 1) * PAIRING_CHUNK]
+        rows = np.array([row(empirical_cdf(p, t), p) for p in _system_p(system, chunk, domain_p)])
+        return rows.min(axis=0), rows.max(axis=0)
+
+    bounds = [r for pair in _map(fold, math.ceil(len(pairings) / PAIRING_CHUNK), threads) for r in pair]
+    top = (("system", "system"), envelope(bounds, t))
     return InferenceReport(
         t=t,
         horizons=horizons,
         bands=dict(subdomains + domains + [top]),
         master_seed=mc.master_seed,
-        live_array_bytes=retained + sum(r.nbytes for r in system_rows),
+        live_array_bytes=retained + sum(r.nbytes for r in bounds),
     )

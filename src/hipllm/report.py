@@ -74,7 +74,12 @@ def emit_csv(report: InferenceReport, out_dir: str | Path) -> Dict[str, Path]:
 def report_to_dict(
     report: InferenceReport, config_echo: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """JSON-serializable mirror of the full report and its resolved config."""
+    """JSON-serializable mirror of the full report and its resolved config.
+
+    Each envelope carries `sup_width_bound`, the largest
+    upper(t_{k+1}) - lower(t_k): both bounds are CDFs and do not fall, so
+    the band is no wider than that anywhere between grid points, where the
+    widths on t alone can understate it."""
     return {
         "master_seed": report.master_seed,
         "config": config_echo,
@@ -85,6 +90,7 @@ def report_to_dict(
                 "entity": entity,
                 "lower": [float(v) for v in band.lower],
                 "upper": [float(v) for v in band.upper],
+                "sup_width_bound": float((band.upper[1:] - band.lower[:-1]).max()),
             }
             for (level, entity), band in report.bands.items()
         ],

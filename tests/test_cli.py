@@ -200,6 +200,30 @@ class TestInfer:
         rel = {(e["level"], e["entity"]): e for e in doc["reliability"]}
         assert rel[("system", "system")]["horizons"] == [1, 5]
 
+    def test_sup_width_bound_contains_fine_grid_width(self, tmp_path):
+        # the bound read on 11 points holds the band's width on 2,001: the
+        # bounds do not fall, so between t_k and t_(k+1) the band is at most
+        # upper(t_(k+1)) - lower(t_k) wide (the quadrature's 1e-12 error per
+        # row aside, which moves with T)
+        doc = json.loads(json.dumps(DEGENERATE))
+        doc["hierarchy"]["domains"] = [
+            {"label": "a", "subdomains": [{"correct": 7, "total": 10}, {"correct": 30, "total": 40}], "omega": [0.3, 0.7]},
+            {"label": "b", "subdomains": [{"correct": 12, "total": 30}], "omega": [1.0]},
+        ]
+        doc["hierarchy"]["weights"] = [0.6, 0.4]
+        doc["grid"] = {"n_mu": 8, "n_nu": 6}
+        widths = {}
+        for n_t in (11, 2001):
+            doc["mc"] = {"samples_per_config": 300, "configs_per_domain": 4, "t_grid_size": n_t}
+            out = tmp_path / f"t{n_t}"
+            assert main(["infer", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+            for e in json.loads((out / "report.json").read_text())["envelopes"]:
+                width = max(u - lo for lo, u in zip(e["lower"], e["upper"]))
+                widths.setdefault((e["level"], e["entity"]), []).append((width, e["sup_width_bound"]))
+        assert len(widths) == 6
+        for (coarse, bound), (fine, _) in widths.values():
+            assert coarse - 2e-12 <= fine <= bound + 2e-12
+
     def test_echo_reproduces_run(self, tmp_path):
         # omega sums to 1.000001: it is renormalized once, and the echo holds
         # the weights the engine ran on, so a run from the echo is the same run
@@ -1013,6 +1037,7 @@ def test_whole_config_exits_cleanly(doc):
     for e in report["envelopes"]:
         for cdf in (e["lower"], e["upper"]):
             assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] >= 1.0 - ulps
+        assert max(u - lo for lo, u in zip(e["lower"], e["upper"])) <= e["sup_width_bound"] <= 1.0
 
 
 # Baseline command lines with extreme values: counts up to 2**53, priors

@@ -4,6 +4,7 @@ and the reliability transforms."""
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -1137,6 +1138,81 @@ class TestInfer:
         finally:
             tracemalloc.stop()
         assert peak < 4096 * 2000 * 8
+
+    @staticmethod
+    def fold_system(n_domains):
+        """Two or three domains of one or two subdomains each."""
+        doms = (
+            DomainSpec((SubdomainData(8, 20, "a1"), SubdomainData(15, 25, "a2")), (0.4, 0.6), default_box(), label="a"),
+            DomainSpec((SubdomainData(30, 40, "b1"),), (1.0,), default_box(), label="b"),
+            DomainSpec((SubdomainData(3, 10, "c1"), SubdomainData(9, 10, "c2")), (0.5, 0.5), default_box(), label="c"),
+        )[:n_domains]
+        return SystemSpec(doms, tuple(1.0 / n_domains for _ in range(n_domains)))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n_domains,cap,chunk",
+        [
+            (2, 1, 4),  # one sampled pairing
+            (2, 3, 4),  # chunk - 1
+            (2, 4, 4),  # chunk
+            (2, 5, 4),  # chunk + 1
+            (2, 17, 4),  # 3 chunks + 5
+            (3, 23, 6),  # 3 chunks + 5, of 3 domains
+            (2, 25, 8),  # the full product, at the cap: 3 chunks + 1
+            (3, 1000, 40),  # the full product, under the cap: 3 chunks + 5
+        ],
+    )
+    def test_system_band_equals_every_row(self, monkeypatch, n_domains, cap, chunk, threads):
+        # the chunks' min and max rows bound exactly what every pairing's
+        # row, built from the public pieces, bounds; and each chunk makes
+        # its pairings' rows once
+        monkeypatch.setattr(inference, "PAIRING_CHUNK", chunk)
+        seen, real = [], inference.sample_system
+
+        def spy(system, pairing, domain_p):
+            seen.append(pairing)
+            return real(system, pairing, domain_p)
+
+        monkeypatch.setattr(inference, "sample_system", spy)
+        system = self.fold_system(n_domains)
+        grid = GridSpec(n_mu=8, n_nu=6)
+        mc = McSpec(samples_per_config=200, configs_per_domain=5, pairing_cap=cap, master_seed=41, t_grid_size=21)
+        horizons = (1, 10**6, 7, 1)
+        t = eval_grid(mc.t_grid_size)
+        arrays = system_sample_arrays(system, grid, mc)
+        assert len(arrays) == len(seen) == min(cap, 5**n_domains)
+        pairings, seen[:] = sorted(seen), []
+        rep = infer(system, grid, mc, ReliabilityQuery(horizons), threads=threads)
+        assert sorted(seen) == pairings
+        rows = [np.concatenate([empirical_cdf(p, t), expected_reliability(p, horizons)]) for p in arrays]
+        got, want = rep.bands[("system", "system")], envelope(rows, t)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+
+    def test_system_stage_memory_flat_in_pairing_cap(self):
+        # 64 x 64 configs: 64 pairings or the full product of 4096; holding
+        # every pairing's row (and a stacked copy) would grow the peak by
+        # about 2 * 4032 rows, 13 MB.  What may grow with the cap is named:
+        # the pairing list, two bound rows per chunk, and two chunks of rows
+        # (one per worker, one being freed) for slack
+        system = self.fold_system(2)
+        query = ReliabilityQuery((1, 10**6))
+        peaks = []
+        for cap in (64, 4096):
+            mc = McSpec(samples_per_config=200, configs_per_domain=64, pairing_cap=cap, master_seed=3, t_grid_size=201)
+            tracemalloc.start()
+            try:
+                infer(system, GridSpec(n_mu=8, n_nu=6), mc, query)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row = (201 + 2) * 8
+        pairings = generate_pairings([64, 64], 4096, 0)
+        pairing_list = sys.getsizeof(pairings) + sum(sys.getsizeof(p) for p in pairings)
+        bounds = 2 * math.ceil(4096 / inference.PAIRING_CHUNK) * row
+        assert peaks[1] - peaks[0] < pairing_list + bounds + 2 * inference.PAIRING_CHUNK * row
 
     def test_domain_theta_not_retained(self):
         # 64 configs x 2000 draws x 8 subdomains: holding every config's
