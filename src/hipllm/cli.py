@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands cover the full experiment surface: `infer` (envelope report),
-`reliability` (`infer` with `--horizons`), `sweep-hyper` (repeat inference
-over prior boxes), `sweep-op` (repeat inference over weight vectors), `synth`
-(synthetic ground-truth comparison tables), `bench` (scaling sweeps with
-power-law fits), and `baseline` (closed-form Beta-Binomial runs).
+Subcommands cover the full experiment surface: `infer`, also named
+`reliability` (envelope report; `--horizons` sets n_F), `sweep-hyper` (repeat
+inference over prior boxes), `sweep-op` (repeat inference over weight vectors),
+`synth` (synthetic ground-truth comparison tables), `bench` (scaling sweeps
+with power-law fits), and `baseline` (closed-form Beta-Binomial runs).
 
 Exit codes: 0 success; 2 a `model.ConfigError` (a `ValidationError` among
 them) or a `MemoryError`; 3 a `numerics.NumericalError`; 4 an `OSError`.
@@ -25,7 +25,7 @@ from . import harness
 from .baselines import bb_expected_future_reliability, bb_mean_envelope, bb_update
 from .config import RunConfig, config_to_dict, parse_config, parse_sweep
 from .inference import infer
-from .model import MAX_COUNT, SEED_LIMIT, ConfigError, ReliabilityQuery
+from .model import MAX_COUNT, SEED_LIMIT, SIZE_FIELDS, ConfigError, McSpec, ReliabilityQuery
 from .numerics import NumericalError
 from .report import emit_csv, emit_json, emit_svg, write_csv, write_json
 
@@ -114,11 +114,7 @@ def cmd_synth(args) -> int:
         ends = itertools.accumulate(gt.domain_sizes)
         if any(sum(sizes[e - n : e]) == 0 for n, e in zip(gt.domain_sizes, ends)):
             raise ConfigError(f"--{name}: every domain needs a positive total sample size")
-    mc = harness.default_mc()
-    if args.configs is not None:
-        mc = replace(mc, configs_per_domain=args.configs)
-    if args.samples is not None:
-        mc = replace(mc, samples_per_config=args.samples)
+    mc = McSpec(configs_per_domain=args.configs, samples_per_config=args.samples)
     rows = harness.run_rq5(gt, regimes, noise=args.noise, seed=args.seed, mc=mc)
 
     table = [
@@ -206,11 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--svg", action="store_true", help="also emit SVG bands")
 
-    p = sub.add_parser("infer", help="full CDF envelope report")
-    add_run_opts(p)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("reliability", help="future-reliability horizon sweep")
+    p = sub.add_parser("infer", aliases=["reliability"], help="CDF envelope and future-reliability report")
     add_run_opts(p)
     p.add_argument("--horizons", type=_int_list, default=[], help="comma-separated n_F values")
     p.set_defaults(func=cmd_infer)
@@ -231,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_fraction, default=0.2)
     p.add_argument("--small", type=_int_list, default="100,500,1000,300")
     p.add_argument("--large", type=_int_list, default="1000,5000,10000,3000")
-    p.add_argument("--configs", type=int, default=None, help="configs per domain")
-    p.add_argument("--samples", type=int, default=None, help="samples per config")
+    p.add_argument("--configs", type=int, default=McSpec.configs_per_domain,
+                   help="configs per domain (default: %(default)s)")
+    p.add_argument("--samples", type=int, default=McSpec.samples_per_config,
+                   help="samples per config (default: %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="scaling sweep with power-law fit")
@@ -264,12 +258,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
-        print(
-            f"configuration error: {exc or 'out of memory'}; lower the grid sizes (n_mu, n_nu)"
-            " or the Monte Carlo sizes (samples per config, configs per domain, pairing cap,"
-            " t grid size)",
-            file=sys.stderr,
-        )
+        sizes = ", ".join(f"{spec}.{name}" for spec, name, _ in SIZE_FIELDS)
+        print(f"configuration error: {exc or 'out of memory'}; lower the sizes ({sizes})", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

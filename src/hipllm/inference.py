@@ -380,12 +380,6 @@ def _pairings(domain_p, mc, master) -> List[Tuple[int, ...]]:
     )
 
 
-def _system_p(system, pairings, domain_p) -> Iterator[np.ndarray]:
-    """System aggregate p_L of each of `pairings`, made one at a time as the
-    caller iterates."""
-    return (sample_system(system, pairing, domain_p) for pairing in pairings)
-
-
 def profile_samples(
     systems: Sequence[SystemSpec],
     grid_spec: Optional[GridSpec] = None,
@@ -432,7 +426,7 @@ def profile_samples(
     ]
     for n, system in enumerate(systems):
         system_p = [[p[n] for p in units] for units in domain_p]
-        yield _system_p(system, _pairings(system_p, mc, master), system_p)
+        yield (sample_system(system, q, system_p) for q in _pairings(system_p, mc, master))
 
 
 def system_sample_arrays(
@@ -508,7 +502,8 @@ def infer(
         """Chunk n's pairings, one row each, reduced to the rows' pointwise
         min and max."""
         chunk = pairings[n * PAIRING_CHUNK : (n + 1) * PAIRING_CHUNK]
-        rows = np.array([row(empirical_cdf(p, t), p) for p in _system_p(system, chunk, domain_p)])
+        p_l = (sample_system(system, q, domain_p) for q in chunk)
+        rows = np.array([row(empirical_cdf(p, t), p) for p in p_l])
         return rows.min(axis=0), rows.max(axis=0)
 
     bounds = [r for pair in _map(fold, math.ceil(len(pairings) / PAIRING_CHUNK), threads) for r in pair]

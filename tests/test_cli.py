@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 import hipllm
 import hipllm.harness as harness
-from hipllm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from hipllm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from hipllm.config import parse_config_dict
-from hipllm.model import ConfigError, GridSpec, McSpec, ValidationError
+from hipllm.model import SIZE_FIELDS, ConfigError, GridSpec, McSpec, ValidationError
 from hipllm.numerics import NumericalError, beta_cdf
 
 # Point prior box and single-node grid at (mu, nu) = (0.5, 2): the
@@ -819,8 +819,26 @@ def test_out_of_memory_names_the_sizes(tmp_path, capsys):
     # 10**14 draws fail to allocate at once: exit 2 with a message, no traceback
     assert main(["synth", "--out", str(tmp_path / "o"), "--samples", f"{10**14}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "samples per config" in err
+    assert err.startswith("configuration error: ")
+    assert all(f"{spec}.{name}" in err for spec, name, _ in SIZE_FIELDS)
     assert "Traceback" not in err
+
+
+def test_reliability_is_infer(tmp_path):
+    # one command under two names: the same options and the same bytes
+    cfg = write_config(tmp_path, DEGENERATE)
+    commands = ("infer", "reliability")
+    for command in commands:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--horizons", "1,3,9"]
+        assert main(argv) == EXIT_OK
+    infer, reliability = ({f.name: f.read_bytes() for f in (tmp_path / c).iterdir()} for c in commands)
+    assert "reliability.csv" in infer and infer == reliability
+
+
+def test_synth_size_defaults_are_mcspec():
+    args = build_parser().parse_args(["synth", "--out", "o"])
+    assert args.configs == McSpec().configs_per_domain
+    assert args.samples == McSpec().samples_per_config
 
 
 @pytest.mark.parametrize(
