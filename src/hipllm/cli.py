@@ -60,7 +60,7 @@ def _pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-_int_list = _arg(_ints, lambda vs: all(0 <= v <= MAX_COUNT for v in vs), "integers in [0, 2**53]")
+_int_list = _arg(_ints, lambda vs: vs and all(0 <= v <= MAX_COUNT for v in vs), "integers in [0, 2**53], at least one")
 _count = _arg(int, lambda v: 0 <= v <= MAX_COUNT, "an integer in [0, 2**53]")
 _seed = _arg(int, lambda v: 0 <= v < SEED_LIMIT, "an integer in [0, 2**64)")
 _threads = _arg(int, lambda v: v >= 1, "a positive integer")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", aliases=["reliability"], help="CDF envelope and future-reliability report")
     add_run_opts(p)
-    p.add_argument("--horizons", type=_int_list, default=[], help="comma-separated n_F values")
+    p.add_argument("--horizons", type=_int_list, default=[], help="comma-separated n_F values, at least one")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep-hyper", help="repeat inference over prior boxes")

@@ -301,15 +301,22 @@ def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.nda
     probabilities in [0, 1]: the (H,) row of E[p ** n_F].
 
     n_F = 1 gives the plain sample mean E[p], with no log or exp.  Every
-    other power is exp(n_F * log p), one `exp` pass over an (H, S) block of
-    at most RELIABILITY_BLOCK terms (one horizon when S is larger), so the
-    temporary stays bounded however many horizons there are.  A term whose
-    exponent lies below LOG_TINY (p ** n_F < e**-700, about 1e-304; p = 0
-    among them) counts as exactly 0, which moves a mean by less than
-    1e-304 and keeps `exp` off its slow underflow path.  Rounding log p,
-    the product and exp give a term x = p ** n_F an absolute error of order
-    u * x * (1 + |ln x|), at most about 2u since x * |ln x| <= 1/e, for any
-    n_F up to 2**53 (u = 2**-53, the unit roundoff); p = 1 gives exactly 1.
+    other power is exp(n_F * log p).  A term whose exponent lies below
+    LOG_TINY (p ** n_F < e**-700, about 1e-304; p = 0 among them) counts as
+    exactly 0, which moves a mean by less than 1e-304 and keeps `exp` off
+    its slow underflow path.  Rounding log p, the product and exp give a
+    term x = p ** n_F an absolute error of order u * x * (1 + |ln x|), at
+    most about 2u since x * |ln x| <= 1/e, for any n_F up to 2**53
+    (u = 2**-53, the unit roundoff); p = 1 gives exactly 1.
+
+    The power rows run in order of n_F, and fl(n_F * log p) falls with n_F
+    and rises with p, so a row's largest and smallest terms are set by the
+    largest and smallest log p.  A row whose largest term lies below
+    LOG_TINY reads exactly 0 and makes no block.  The others take one `exp`
+    pass over an (H, S) block of at most RELIABILITY_BLOCK terms (one
+    horizon when S is larger), so the temporary stays bounded however many
+    horizons there are; the clamp to LOG_TINY and the zero store act only
+    on the block's trailing rows whose smallest term lies below it.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -321,16 +328,24 @@ def expected_reliability(samples: np.ndarray, horizons: Sequence[int]) -> np.nda
     if powers.size:
         with np.errstate(divide="ignore"):
             log_p = np.log(samples)
+        powers = powers[np.argsort(n_f[powers], kind="stable")]
+        # rows whose largest term underflows: a suffix of that order
+        dead = n_f[powers] * log_p.max() < LOG_TINY
+        out[powers[dead]] = 0.0
+        powers, lowest = powers[~dead], log_p.min()
         step = max(RELIABILITY_BLOCK // samples.size, 1)
         for first in range(0, powers.size, step):
             rows = powers[first : first + step]
-            x = np.multiply.outer(n_f[rows], log_p)
-            tiny = x < LOG_TINY
-            np.maximum(x, LOG_TINY, out=x)
+            n = n_f[rows]
+            x = np.einsum("i,j->ij", n, log_p)
+            # the trailing rows with a term below LOG_TINY (a view, maybe empty)
+            low = x[n.size - np.count_nonzero(n * lowest < LOG_TINY) :]
+            tiny = low < LOG_TINY
+            np.maximum(low, LOG_TINY, out=low)
             np.exp(x, out=x)
-            x[tiny] = 0.0
-            out[rows] = x.mean(axis=1)
-            del x, tiny  # freed before the next block is made
+            low[tiny] = 0.0
+            out[rows] = np.add.reduce(x, axis=1) / samples.size
+            del x, low, tiny  # freed before the next block is made
     return out
 
 

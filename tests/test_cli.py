@@ -725,6 +725,9 @@ class TestBenchCommand:
         ["baseline", "--correct", "3", "--total", f"{2**60}"],
         ["infer", "--config", "BIN", "--out", "OUT"],
         ["sweep-hyper", "--config", "CFG", "--out", "OUT", "--boxes", "BIN"],
+        ["infer", "--config", "CFG", "--out", "OUT", "--horizons", ""],
+        ["infer", "--config", "CFG", "--out", "OUT", "--horizons", ","],
+        ["baseline", "--correct", "3", "--total", "10", "--horizons", ""],
     ],
     ids=[
         "reliability-horizons", "bench-zero", "bench-two-values", "synth-sizes",
@@ -736,6 +739,7 @@ class TestBenchCommand:
         "infer-seed-beyond-64-bits", "synth-negative-seed", "reliability-horizon-10**400",
         "reliability-horizon-2**53+1", "baseline-horizon-10**400", "baseline-total-10**400",
         "baseline-total-2**60", "infer-config-not-utf8", "sweep-hyper-boxes-not-utf8",
+        "infer-empty-horizons", "infer-comma-horizons", "baseline-empty-horizons",
     ],
 )
 def test_malformed_command_line_value_exit_code(tmp_path, argv):

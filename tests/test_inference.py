@@ -939,6 +939,19 @@ class TestReliabilityTransforms:
             assert val == expected_reliability(draws, [n])[0]
         assert vals[0] == vals[3] and vals[1] == vals[5]
 
+    @staticmethod
+    def unblocked(draws, horizons):
+        """Every horizon's powers in one block, each term clamped and masked,
+        and n_F = 1 the draws themselves."""
+        horizons = np.asarray(horizons)
+        with np.errstate(divide="ignore"):
+            x = np.multiply.outer(horizons.astype(float), np.log(draws))
+        tiny = x < inference.LOG_TINY
+        x = np.exp(np.maximum(x, inference.LOG_TINY))
+        x[tiny] = 0.0
+        x[horizons == 1] = draws
+        return x.mean(axis=1)
+
     def test_many_horizons_blocked_bit_identical_and_bounded(self):
         # 2,000 horizons at S = 3000: one (H, S) block would take 48 MB
         draws = RngState(29).gen.beta(40, 3, size=3000)
@@ -949,15 +962,41 @@ class TestReliabilityTransforms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the unblocked reference: every horizon's powers in one block
-        x = np.multiply.outer(horizons.astype(float), np.log(draws))
-        tiny = x < inference.LOG_TINY
-        x = np.exp(np.maximum(x, inference.LOG_TINY))
-        x[tiny] = 0.0
-        x[0] = draws
-        np.testing.assert_array_equal(vals, x.mean(axis=1))
+        np.testing.assert_array_equal(vals, self.unblocked(draws, horizons))
         # the block in flight, its mask and the log draws
         assert peak < 2 * inference.RELIABILITY_BLOCK * 8
+
+    def test_sorted_rows_bit_identical_across_blocks(self):
+        # log p in [-1.204, -1.171]: rows up to n_F = 581 hold no tiny term,
+        # rows from 598 hold nothing else, and the rows between hold both,
+        # with means near e**-700, where a term left unclamped shows
+        draws = RngState(31).gen.uniform(0.3, 0.31, size=3000)
+        clean = list(range(1, 46)) + [300, 581]
+        partly = [582, 585, 590, 597]
+        wholly = [598, 10**6, 2**53]
+        horizons = RngState(37).gen.permutation(clean + partly + wholly + clean[:6] + partly[:2] + wholly[:2])
+        x = np.multiply.outer(horizons.astype(float), np.log(draws))
+        n_tiny = (x < inference.LOG_TINY).sum(axis=1)
+        assert np.array_equal(np.isin(horizons, partly), (n_tiny > 0) & (n_tiny < draws.size))
+        assert np.array_equal(np.isin(horizons, wholly), n_tiny == draws.size)
+        # more power rows than one block holds at S = 3000
+        assert np.count_nonzero(horizons != 1) > inference.RELIABILITY_BLOCK // draws.size
+        np.testing.assert_array_equal(expected_reliability(draws, horizons), self.unblocked(draws, horizons))
+
+    def test_underflowing_horizons_make_no_block(self):
+        draws = RngState(41).gen.uniform(0.3, 0.6, size=3000)
+        horizons = np.geomspace(10**4, 2**53, 20).astype(np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracemalloc.start()
+            try:
+                vals = expected_reliability(draws, horizons)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert vals.tolist() == [0.0] * 20
+        # the log draws and a few horizon-sized arrays, no (20, S) block
+        assert peak < 2 * draws.size * 8
 
     def test_horizon_one_is_the_sample_mean(self):
         # seed 33's mean of exp(log p) differs from mean(p) in the last bit
