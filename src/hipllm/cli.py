@@ -24,7 +24,7 @@ from pathlib import Path
 from . import harness
 from .baselines import bb_expected_future_reliability, bb_mean_envelope, bb_update
 from .config import RunConfig, config_to_dict, parse_config, parse_sweep
-from .inference import infer
+from .inference import CONFIG_BLOCK, PAIRING_CHUNK, infer
 from .model import MAX_COUNT, SEED_LIMIT, SIZE_FIELDS, ConfigError, McSpec, ReliabilityQuery
 from .numerics import NumericalError
 from .report import emit_csv, emit_json, emit_svg, write_csv, write_json
@@ -134,7 +134,9 @@ def cmd_synth(args) -> int:
     doc = {
         "seed": args.seed,
         "noise": args.noise,
-        "ground_truth": dataclasses.asdict(gt),
+        "ground_truth": {"theta": gt.theta, "op": gt.op, "domain_sizes": gt.domain_sizes},
+        "regimes": regimes,
+        "mc": {"configs_per_domain": mc.configs_per_domain, "samples_per_config": mc.samples_per_config},
         "p_system_gt": gt.p_system,
         "rows": table,
     }
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None, help="override master seed")
         p.add_argument(
             "--threads", type=_threads, default=1,
-            help="workers over blocks of 16 configs and chunks of 64 pairings (speed only)",
+            help=f"workers over blocks of {CONFIG_BLOCK} configs and chunks of {PAIRING_CHUNK} pairings (speed only)",
         )
         p.add_argument("--svg", action="store_true", help="also emit SVG bands")
 
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise", type=_fraction, default=0.2)
-    p.add_argument("--small", type=_int_list, default="100,500,1000,300")
+    p.add_argument("--small", type=_int_list, default=list(harness.default_ground_truth().sample_sizes))
     p.add_argument("--large", type=_int_list, default="1000,5000,10000,3000")
     p.add_argument("--configs", type=int, default=McSpec.configs_per_domain,
                    help="configs per domain (default: %(default)s)")

@@ -172,11 +172,6 @@ class MethodSummary:
         return 0.5 * (self.median[0] + self.median[1])
 
 
-def _quantiles(samples: np.ndarray) -> Tuple[float, float, float]:
-    q05, med, q95 = np.quantile(samples, [0.05, 0.5, 0.95])
-    return float(q05), float(med), float(q95)
-
-
 def summarize_method(
     method: str,
     samples: Iterable[np.ndarray],
@@ -184,7 +179,7 @@ def summarize_method(
 ) -> MethodSummary:
     """Summarize a family of per-config posterior sample arrays, read once
     in order; a single-posterior method passes a family of one."""
-    triples = [_quantiles(np.asarray(s)) for s in samples]
+    triples = [np.quantile(s, [0.05, 0.5, 0.95]).tolist() for s in samples]
     if not triples:
         raise ValueError("envelope summary requires at least one config")
     meds = [m for _, m, _ in triples]
@@ -233,20 +228,19 @@ def run_rq5(
             "bb-uninf": [BetaPosterior(1.0, 1.0)] * len(regime_gt.theta),
             "bb-inf": [informative_prior(th, INFORMATIVE_KAPPA) for th in regime_gt.theta],
         }
-        # one pairing stream per scenario, in scenario order; nothing runs
-        # before the first `next`, and rebinding frees the last regime's draws
-        hip_llm = profile_samples(
+        # one pairing stream per scenario, in scenario order; rebinding frees the last regime's draws
+        streams = profile_samples(
             list(systems.values()),
             grid,
             replace(mc, master_seed=derive_substream(seed, (30, r_idx, len(priors)))),
         )
-        for scenario, system in systems.items():
-            for m_idx, method in enumerate([*priors, "hip-llm"]):
-                if method in priors:
-                    m_seed = derive_substream(seed, (30, r_idx, m_idx))
-                    samples = [bb_system_samples(system, priors[method], BASELINE_SAMPLES, m_seed)]
-                else:
-                    samples = next(hip_llm)
+        for (scenario, system), hip_llm in zip(systems.items(), streams):
+            methods = {
+                name: [bb_system_samples(system, prior, BASELINE_SAMPLES, derive_substream(seed, (30, r_idx, m_idx)))]
+                for m_idx, (name, prior) in enumerate(priors.items())
+            }
+            methods["hip-llm"] = hip_llm
+            for method, samples in methods.items():
                 rows.append(
                     Rq5Row(
                         regime=regime,

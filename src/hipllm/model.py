@@ -268,7 +268,9 @@ def validate(
     if not 0 <= mc.master_seed < SEED_LIMIT:
         issues.append(("mc.master_seed", "must lie in [0, 2**64)"))
 
-    if any(h < 1 or int(h) != h for h in query.horizons):
+    if not query.horizons:
+        issues.append(("query.horizons", "at least one horizon required"))
+    elif any(h < 1 or int(h) != h for h in query.horizons):
         issues.append(("query.horizons", "horizons must be strictly positive integers"))
     elif any(h > MAX_COUNT for h in query.horizons):
         issues.append(("query.horizons", "horizons may not exceed 2**53"))

@@ -260,6 +260,7 @@ class TestInfer:
             (("query", "horizons"), 7),
             (("query", "horizons"), [1, 2**53 + 1]),
             (("query", "horizons"), [1, 10**400]),
+            (("query", "horizons"), []),
             (("hierarchy", "domains"), []),
             (("hierarchy", "domains", 0, "subdomains"), []),
             (("mc", "samples_per_config"), 10**14),
@@ -268,7 +269,7 @@ class TestInfer:
         ],
         ids=[
             "correct-str", "correct-fraction", "omega-int", "weights-str", "samples-str",
-            "horizons-int", "horizon-2**53+1", "horizon-10**400", "domains-empty",
+            "horizons-int", "horizon-2**53+1", "horizon-10**400", "horizons-empty", "domains-empty",
             "subdomains-empty", "samples-10**14-out-of-memory", "configs-10**23",
             "samples-2**53+1",
         ],
@@ -665,6 +666,10 @@ class TestSynthCommand:
         assert code == EXIT_OK
         doc = json.loads((out / "synth_comparison.json").read_text())
         assert doc["p_system_gt"] == pytest.approx(0.586)
+        # the file records the sizes this run used, and no others
+        assert doc["regimes"] == {"small": [30, 50, 40, 20], "large": [100, 200, 150, 80]}
+        assert doc["mc"] == {"configs_per_domain": 8, "samples_per_config": 200}
+        assert "sample_sizes" not in doc["ground_truth"]
         assert len(doc["rows"]) == 18  # 2 regimes x 3 scenarios x 3 methods
         with (out / "synth_comparison.csv").open() as fh:
             rows = list(csv.DictReader(fh))

@@ -85,6 +85,12 @@ def test_horizon_beyond_float_range_rejected(horizon):
     validate(make_system(), query=ReliabilityQuery((1, 2**53)))
 
 
+def test_empty_horizons_rejected():
+    with pytest.raises(ValidationError) as exc:
+        validate(make_system(), query=ReliabilityQuery(()))
+    assert [path for path, _ in exc.value.issues] == ["query.horizons"]
+
+
 def relabel(system, domain_labels, subdomain_labels):
     domains = tuple(
         dataclasses.replace(
